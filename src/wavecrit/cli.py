@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import yaml
 
-from .criteria import quadratic_global_condition
+from .criteria import _jsonable, quadratic_global_condition
 from .errors import ConfigError, WavecritError
 from .focusing import monotone_iterate, soliton
 from .freewave import CauchyData, propagate_radial
@@ -177,11 +177,7 @@ def build_field(grid: RadialGrid, spec: dict, slot: str) -> RadialField:
         if slot != "u1":
             raise ConfigError("soliton-velocity has a 1/r pole: velocity slot only")
         scale = float(spec.get("scale", 1.0))
-        moment = scale * soliton("ground", 4).outgoing_moment(r)
-        vals = np.empty_like(r)
-        vals[1:] = moment[1:] / r[1:]
-        vals[0] = vals[1]
-        return RadialField(grid, vals, origin_moment=float(moment[0]))
+        return RadialField.from_moment(grid, scale * soliton("ground", 4).outgoing_moment(r))
     if family == "tabulated":
         table = np.loadtxt(str(spec["path"]), delimiter=",", ndmin=2)
         return RadialField(grid, np.interp(r, table[:, 0], table[:, 1]))
@@ -217,30 +213,12 @@ def _profile(scenario: dict):
 # actions
 
 
-def _verdict_payload(verdict) -> dict:
-    return json.loads(verdict.to_json())
-
-
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, float) and not np.isfinite(value):
-        return repr(value)
-    return value
-
-
 def _act_classify(scenario: dict, series: dict) -> dict:
     profile = _profile(scenario)
     verdict = quadratic_global_condition(build_data(scenario), profile)
     cls = profile.classification
     return {
-        "verdict": _verdict_payload(verdict),
+        "verdict": verdict.to_dict(),
         "holds": bool(verdict.holds),
         "endpoints": {
             "minus_infinity": cls.minus_infinity,
@@ -252,32 +230,38 @@ def _act_classify(scenario: dict, series: dict) -> dict:
     }
 
 
+def _iterate(scenario: dict, data: CauchyData, series: dict):
+    """Monotone iteration of the focusing equation, with its sup series."""
+    solver = scenario["solver"]
+    state = monotone_iterate(
+        data,
+        float(scenario["equation"]["N"]),
+        scenario["horizon"],
+        cap=float(solver["cap"]),
+        tol=float(solver["tol"]),
+        n_max=int(solver["n_max"]),
+    )
+    sups = state.sup_profile()
+    series["series"] = np.column_stack([state.times, np.nan_to_num(sups, nan=np.inf)])
+    series["columns"] = ("t", "sup_u")
+    summary = {
+        "converged": bool(state.converged),
+        "iterations": int(state.n),
+        "case": state.case,
+        "validity": state.validity,
+        "diverged_fraction": state.diverged_fraction,
+    }
+    return state, sups, summary
+
+
 def _act_solve(scenario: dict, series: dict) -> dict:
     data = build_data(scenario)
     times = [float(t) for t in scenario["probe"]["times"]]
     kind = scenario["equation"]["kind"]
     if kind == "focusing":
-        state = monotone_iterate(
-            data,
-            float(scenario["equation"]["N"]),
-            scenario["horizon"],
-            cap=float(scenario["solver"]["cap"]),
-            tol=float(scenario["solver"]["tol"]),
-            n_max=int(scenario["solver"]["n_max"]),
-        )
-        sups = state.sup_profile()
-        series["series"] = np.column_stack(
-            [state.times, np.nan_to_num(sups, nan=np.inf)]
-        )
-        series["columns"] = ("t", "sup_u")
-        return {
-            "converged": bool(state.converged),
-            "iterations": int(state.n),
-            "case": state.case,
-            "validity": state.validity,
-            "diverged_fraction": state.diverged_fraction,
-            "sup_final": _jsonable(float(sups[np.isfinite(sups)][-1])),
-        }
+        _, sups, out = _iterate(scenario, data, series)
+        out["sup_final"] = float(sups[np.isfinite(sups)][-1])
+        return out
     if kind == "null-form":
         profile = _profile(scenario)
         slices = [solve_null(data, profile, t) for t in times]
@@ -304,30 +288,11 @@ def _act_blowup(scenario: dict, series: dict) -> dict:
 
 
 def _act_iterate(scenario: dict, series: dict) -> dict:
-    eq = scenario["equation"]
-    if eq["kind"] != "focusing":
+    if scenario["equation"]["kind"] != "focusing":
         raise ConfigError("iterate needs a focusing equation")
-    state = monotone_iterate(
-        build_data(scenario),
-        float(eq["N"]),
-        scenario["horizon"],
-        cap=float(scenario["solver"]["cap"]),
-        tol=float(scenario["solver"]["tol"]),
-        n_max=int(scenario["solver"]["n_max"]),
-    )
-    sups = state.sup_profile()
-    series["series"] = np.column_stack([state.times, np.nan_to_num(sups, nan=np.inf)])
-    series["columns"] = ("t", "sup_u")
-    return {
-        "converged": bool(state.converged),
-        "iterations": int(state.n),
-        "case": state.case,
-        "validity": state.validity,
-        "diverged_fraction": state.diverged_fraction,
-        "trace": [
-            {k: _jsonable(v) for k, v in entry.items()} for entry in state.trace
-        ],
-    }
+    state, _, out = _iterate(scenario, build_data(scenario), series)
+    out["trace"] = state.trace
+    return out
 
 
 def _act_oracle(scenario: dict, series: dict) -> dict:
@@ -627,7 +592,6 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True,
                            help="scenario path or bundled name")
         p.add_argument("--out-dir", default="wavecrit-out", type=Path)
-        p.add_argument("--workers", default=1, type=int)
         p.add_argument("--tolerance-scale", default=1.0, type=float,
                        help="multiplies the scenario's solver tolerance")
 
@@ -635,6 +599,8 @@ def _parser() -> argparse.ArgumentParser:
         common(sub.add_parser(name, help=f"run the {name} action"))
     sweep = sub.add_parser("sweep", help="run a scenario over parameter values")
     common(sweep)
+    sweep.add_argument("--workers", default=1, type=int,
+                       help="parallel processes for the sweep values")
     sweep.add_argument("--param", required=True, help="dotted config path")
     sweep.add_argument("--values", required=True,
                        help="comma-separated numbers")

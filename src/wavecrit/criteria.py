@@ -13,7 +13,7 @@ r=0 limit ((ru₀)′(0)=u₀(0), (ru₁)(0)=origin moment) is exact.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,19 +53,20 @@ class Verdict:
     strict: bool = True
     bounds: Dict[str, object] = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """JSON-ready mapping; non-finite floats become "inf"/"-inf"/"nan"."""
         loc, slack = self.witness
-        return json.dumps(
-            {
-                "criterion": self.criterion,
-                "holds": bool(self.holds),
-                "margin": _jsonable(self.margin),
-                "witness": {"location": _jsonable(loc), "slack": _jsonable(slack)},
-                "strict": bool(self.strict),
-                "bounds": _jsonable(self.bounds),
-            },
-            sort_keys=True,
-        )
+        return {
+            "criterion": self.criterion,
+            "holds": bool(self.holds),
+            "margin": _jsonable(self.margin),
+            "witness": {"location": _jsonable(loc), "slack": _jsonable(slack)},
+            "strict": bool(self.strict),
+            "bounds": _jsonable(self.bounds),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _jsonable(x):
@@ -110,21 +111,6 @@ def _points(grid: RadialGrid, level: int) -> NDArray:
     return np.union1d(g.nodes, g.midpoints())
 
 
-def _stable_min(slack: Callable[[NDArray], NDArray], grid: RadialGrid, levels: int = 3):
-    """Min of slack over nodes+midpoints, doubling until stable within 1%."""
-    prev = m = loc = None
-    for level in range(levels + 1):
-        pts = _points(grid, level)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(slack(pts), dtype=float)
-        k = int(np.argmin(vals))
-        m, loc = float(vals[k]), float(pts[k])
-        if prev is not None and (m == prev or abs(m - prev) <= 0.01 * abs(m) + 1e-12):
-            break
-        prev = m
-    return m, loc
-
-
 def _shell_points(R: float, n: int, include_origin: bool) -> NDArray:
     radii = np.linspace(R / n, R, n)
     pts = (radii[:, None, None] * _SPHERE_NODES[None, :, :]).reshape(-1, 3)
@@ -132,19 +118,30 @@ def _shell_points(R: float, n: int, include_origin: bool) -> NDArray:
         pts = np.vstack([np.zeros((1, 3)), pts])
     return pts
 
-def _stable_min_general(slack, R: float, include_origin: bool = True):
-    """Same stabilization over spherical sample shells (26 directions each)."""
-    prev = m = loc = None
-    for n in (17, 33, 65):
-        pts = _shell_points(R, n, include_origin)
+
+def _grid_levels(grid: RadialGrid) -> Iterator[NDArray]:
+    """Nodes plus midpoints of the grid and of its first three refinements."""
+    return (_points(grid, level) for level in range(4))
+
+
+def _shell_levels(R: float, include_origin: bool = True) -> Iterator[NDArray]:
+    """Spherical sample shells (26 directions each) at three radial densities."""
+    return (_shell_points(R, n, include_origin) for n in (17, 33, 65))
+
+
+def _stable_min(slack: Callable[[NDArray], NDArray], point_sets: Iterable[NDArray]):
+    """Min of slack over successively finer point sets, stopping once two
+    consecutive minima agree within 1%; returns (min, argmin point)."""
+    prev = None
+    for pts in point_sets:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.asarray(slack(pts), dtype=float)
         k = int(np.argmin(vals))
-        m, loc = float(vals[k]), pts[k].tolist()
+        m = float(vals[k])
         if prev is not None and (m == prev or abs(m - prev) <= 0.01 * abs(m) + 1e-12):
             break
         prev = m
-    return m, loc
+    return m, pts[k].tolist()
 
 
 def _norm_rows(a: NDArray) -> NDArray:
@@ -187,7 +184,7 @@ def radial_positivity(data: CauchyData, strict: bool = True) -> Verdict:
     shell = reduce_to_line(data.u0)
     s0 = _spline(shell)
     m1 = _moment_spline(data.u1)
-    margin, loc = _stable_min(lambda r: s0(r) - np.abs(m1(r)), data.grid)
+    margin, loc = _stable_min(lambda r: s0(r) - np.abs(m1(r)), _grid_levels(data.grid))
     bounds: Dict[str, object] = {
         "sup_bound": float(np.max(np.abs(shell.values)) + np.max(np.abs(data.u1.moment()))),
         "validity": "all t",
@@ -217,7 +214,7 @@ def radial_bounds(data: CauchyData, a: float, b: float) -> Verdict:
         w = np.abs(m1(r))
         return np.minimum(s0(r) - a - w, b - s0(r) - w)
 
-    margin, loc = _stable_min(slack, data.grid)
+    margin, loc = _stable_min(slack, _grid_levels(data.grid))
     bounds = {"ut_envelope_halfwidth": 0.5 * (b - a), "validity": "all t"}
     return _make("radial_bounds", margin, (loc, margin), False, bounds)
 
@@ -283,22 +280,19 @@ def nonradial_momentum(data: CauchyData) -> Verdict:
     strictly (the payload records both minima separately)."""
     _require_general(data, "nonradial_momentum")
     R = max(data.u0.support_radius, data.u1.support_radius)
-    prev = None
-    for n in (17, 33, 65):
-        pts = _shell_points(R, n, include_origin=True)
-        v0 = data.u0(pts)
-        mom = data.u1(pts) - _norm_rows(data.u0.gradient(pts))
-        vals = np.minimum(v0, mom)
-        k = int(np.argmin(vals))
-        m = float(vals[k])
-        if prev is not None and (m == prev or abs(m - prev) <= 0.01 * abs(m) + 1e-12):
-            break
-        prev = m
-    u0_min = float(np.min(v0))
-    mom_min = float(np.min(mom))
+    last = {}  # both slacks on the final point set
+
+    def slack(pts):
+        last["u0"] = data.u0(pts)
+        last["momentum"] = data.u1(pts) - _norm_rows(data.u0.gradient(pts))
+        return np.minimum(last["u0"], last["momentum"])
+
+    m, loc = _stable_min(slack, _shell_levels(R))
+    u0_min = float(np.min(last["u0"]))
+    mom_min = float(np.min(last["momentum"]))
     holds = u0_min > 0.0 and mom_min >= 0.0
     bounds = {"validity": "t >= 0", "min_u0": u0_min, "min_momentum": mom_min}
-    return Verdict("nonradial_momentum", holds, m, (pts[k].tolist(), m), False, bounds)
+    return Verdict("nonradial_momentum", holds, m, (loc, m), False, bounds)
 
 
 def nonradial_laplacian(data: CauchyData, strict: bool = True, kato: bool = True) -> Verdict:
@@ -311,7 +305,7 @@ def nonradial_laplacian(data: CauchyData, strict: bool = True, kato: bool = True
     def slack(pts):
         return -data.u0.laplace(pts) - _norm_rows(data.u1.gradient(pts))
 
-    margin, loc = _stable_min_general(slack, R)
+    margin, loc = _stable_min(slack, _shell_levels(R))
     bounds: Dict[str, object] = {"validity": "all t"}
     if kato:
         lap_abs = Field3D(
@@ -366,7 +360,7 @@ def quadratic_global_condition(data: CauchyData, profile: NonlinearityProfile) -
             vals = np.minimum(vals, (b - fx) / fp - (r * d0(r) + w))
         return vals
 
-    margin, loc = _stable_min(slack, data.grid)
+    margin, loc = _stable_min(slack, _grid_levels(data.grid))
     pts = _points(data.grid, 1)
     shell_norm = float(np.max(np.abs(pts * d0(pts))) + np.max(np.abs(m1(pts))))
     u_lo, u_hi = float(np.min(data.u0.values)), float(np.max(data.u0.values))
@@ -465,7 +459,7 @@ def focusing_domination(u_data: CauchyData, v_data: CauchyData, case: str) -> Ve
                     residual=chk.bounds["residual"],
                 )
         su, sv = _spline(u_data.u0), _spline(v_data.u0)
-        margin, loc = _stable_min(lambda r: su(r) - np.abs(sv(r)), u_data.grid)
+        margin, loc = _stable_min(lambda r: su(r) - np.abs(sv(r)), _grid_levels(u_data.grid))
         return _make("focusing_domination", margin, (loc, margin), False, bounds)
 
     if case == "ii":
@@ -477,7 +471,7 @@ def focusing_domination(u_data: CauchyData, v_data: CauchyData, case: str) -> Ve
         def slack(r):
             return tu(r) - np.abs(mu(r)) - np.abs(tv(r)) - np.abs(mv(r))
 
-        margin, loc = _stable_min(slack, u_data.grid)
+        margin, loc = _stable_min(slack, _grid_levels(u_data.grid))
         return _make("focusing_domination", margin, (loc, margin), False, bounds)
 
     if sym == "general":
@@ -507,7 +501,7 @@ def focusing_domination(u_data: CauchyData, v_data: CauchyData, case: str) -> Ve
             v_data.u0.support_radius,
             v_data.u1.support_radius,
         )
-        margin, loc = _stable_min_general(slack, R)
+        margin, loc = _stable_min(slack, _shell_levels(R))
         return _make("focusing_domination", margin, (loc, margin), False, bounds)
 
     # radial cases iii and iv: a 1/r velocity pole diverges in these
@@ -525,7 +519,7 @@ def focusing_domination(u_data: CauchyData, v_data: CauchyData, case: str) -> Ve
         def slack(r):
             return -lu(r) - np.abs(du1(r)) - np.abs(lv(r)) - np.abs(dv1(r))
 
-        margin, loc = _stable_min(slack, u_data.grid)
+        margin, loc = _stable_min(slack, _grid_levels(u_data.grid))
         return _make("focusing_domination", margin, (loc, margin), False, bounds)
 
     du0, dv0 = _derivative_spline(u_data.u0), _derivative_spline(v_data.u0)
@@ -550,7 +544,7 @@ def focusing_domination(u_data: CauchyData, v_data: CauchyData, case: str) -> Ve
                 out[~pos] = u_data.u1.values[0] - np.abs(v_data.u1.values[0])
         return out
 
-    margin, loc = _stable_min(slack, u_data.grid)
+    margin, loc = _stable_min(slack, _grid_levels(u_data.grid))
     return _make("focusing_domination", margin, (loc, margin), False, bounds)
 
 
@@ -582,7 +576,7 @@ def supercritical_envelope(data: CauchyData, N: int, alpha: float = 0.0) -> Verd
         def slack(r):
             return amp / (alpha + np.asarray(r, dtype=float)) ** p - load(r)
 
-        margin, loc = _stable_min(slack, data.grid)
+        margin, loc = _stable_min(slack, _grid_levels(data.grid))
         pts = _points(data.grid, 1)
         radii = pts
         load_vals = load(pts)
@@ -596,7 +590,7 @@ def supercritical_envelope(data: CauchyData, N: int, alpha: float = 0.0) -> Verd
             return amp / (alpha + s) ** p - load_pts(pts)
 
         R = max(data.u0.support_radius, data.u1.support_radius)
-        margin, loc = _stable_min_general(slack, R, include_origin=alpha > 0)
+        margin, loc = _stable_min(slack, _shell_levels(R, include_origin=alpha > 0))
         pts = _shell_points(R, 65, include_origin=False)
         radii = _norm_rows(pts)
         load_vals = load_pts(pts)

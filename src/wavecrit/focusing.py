@@ -124,14 +124,6 @@ def crossing_radii(N: int = 4) -> Tuple[float, float]:
 # sine kernel
 
 
-def _pl_tables(nodes: NDArray, moment: NDArray) -> Tuple[NDArray, NDArray]:
-    # cumulative integral of the piecewise-linear moment, exact per segment
-    M = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (moment[1:] + moment[:-1]) * np.diff(nodes)))
-    )
-    return moment, M
-
-
 def sine_kernel_radial(f: RadialField, t: float) -> RadialField:
     """Average of the source over the backward sphere of radius t.
 
@@ -153,7 +145,9 @@ def sine_kernel_radial(f: RadialField, t: float) -> RadialField:
                 needed=r_top + t,
                 available=r_top,
             )
-    g, M = _pl_tables(nodes, f.moment())
+    g = f.moment()
+    # cumulative integral of the piecewise-linear moment, exact per segment
+    M = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(nodes))))
     f_end = f.values[-1]
 
     def integral_to(x: NDArray) -> NDArray:
@@ -494,8 +488,9 @@ def kenig_merle_quantities(N: int = 4, grid: Optional[RadialGrid] = None) -> dic
     """Comparison integrals around the ground state, with ε-expansion.
 
     All integrands are closed-form in the ground profile; the variations of
-    E[(1+ε)·ground] come from central differences of the closed-form energy
-    polynomial K((1+ε)²/2 − (1+ε)⁶/6) with K the squared gradient norm.
+    E[(1+ε)·ground] at ε = 0 are the exact derivatives of the energy
+    polynomial K((1+ε)²/2 − (1+ε)⁶/6), with K the squared gradient norm:
+    K(1 − 1) = 0 and K(1 − 5) = −4K.
     """
     if N != 4:
         raise ConfigError("comparison integrals are specific to the quartic case", N=N)
@@ -515,14 +510,6 @@ def kenig_merle_quantities(N: int = 4, grid: Optional[RadialGrid] = None) -> dic
     energy_ground = 0.5 * grad_sq - sixth / 6.0
     energy_pole_velocity = 0.5 * velocity_sq
 
-    def closed(eps: float) -> float:
-        s = 1.0 + eps
-        return grad_sq * (s * s / 2.0 - s**6 / 6.0)
-
-    de = 1e-4
-    first = (closed(de) - closed(-de)) / (2.0 * de)
-    second = (closed(de) - 2.0 * closed(0.0) + closed(-de)) / (de * de)
-
     return {
         "grad_norm_sq": grad_sq,
         "half_grad_norm_sq": 0.5 * grad_sq,
@@ -532,8 +519,8 @@ def kenig_merle_quantities(N: int = 4, grid: Optional[RadialGrid] = None) -> dic
         "energy_ground": energy_ground,
         "energy_pole_velocity": energy_pole_velocity,
         "energy_ratio": energy_pole_velocity / energy_ground,
-        "first_variation": first,
-        "second_variation": second,
+        "first_variation": 0.0,
+        "second_variation": -4.0 * grad_sq,
     }
 
 
@@ -548,14 +535,8 @@ def _zero_field(grid: RadialGrid) -> RadialField:
 def _scaled_velocity_data(grid: RadialGrid, scale: float) -> CauchyData:
     # (0, scale*(S_r + S/r)) for the ground profile: pole velocity with
     # moment scale*(rS)'
-    ground = soliton("ground", 4)
-    nodes = grid.nodes
-    moment = scale * ground.outgoing_moment(nodes)
-    vals = np.empty_like(nodes)
-    vals[1:] = moment[1:] / nodes[1:]
-    vals[0] = vals[1]
-    u1 = RadialField(grid, vals, parity="even", origin_moment=float(moment[0]))
-    return CauchyData(_zero_field(grid), u1)
+    moment = scale * soliton("ground", 4).outgoing_moment(grid.nodes)
+    return CauchyData(_zero_field(grid), RadialField.from_moment(grid, moment))
 
 
 def _scaled_profile_data(grid: RadialGrid, scale: float) -> CauchyData:

@@ -30,7 +30,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import ExtentError
-from .radial import Field3D, RadialField, RadialGrid
+from .radial import _GL_NODES, _GL_WEIGHTS, Field3D, RadialField, RadialGrid
 
 __all__ = [
     "CauchyData",
@@ -113,22 +113,8 @@ class DalembertPair:
 
     def recombine(self) -> CauchyData:
         u0 = lift_from_line(self.reconstruct_shell())
-        u1 = _field_from_moment(self.grid, self.velocity_moment())
+        u1 = RadialField.from_moment(self.grid, self.velocity_moment())
         return CauchyData(u0, u1)
-
-
-def _field_from_moment(grid: RadialGrid, moment: NDArray) -> RadialField:
-    """Field with r·f(r) = moment; detects a 1/r pole from moment[0]."""
-    r = grid.nodes
-    values = np.empty_like(moment)
-    values[1:] = moment[1:] / r[1:]
-    scale = float(np.max(np.abs(moment))) or 1.0
-    if abs(moment[0]) > 1e-12 * scale:
-        values[0] = values[1]
-        return RadialField(grid, values, parity="even", origin_moment=float(moment[0]))
-    h1, h2 = r[1], r[2]
-    values[0] = (moment[1] * h2**3 - moment[2] * h1**3) / (h1 * h2 * (h2**2 - h1**2))
-    return RadialField(grid, values, parity="even")
 
 
 def reduce_to_line(u: RadialField) -> RadialField:
@@ -175,7 +161,7 @@ def outgoing_velocity(u0: RadialField, orientation: str = "expanding") -> Radial
         raise ValueError(f"unknown orientation {orientation!r}")
     sign = -1.0 if orientation == "expanding" else 1.0
     shell = reduce_to_line(u0)
-    return _field_from_moment(u0.grid, sign * shell.values)
+    return RadialField.from_moment(u0.grid, sign * shell.values)
 
 
 @dataclass(frozen=True)
@@ -188,6 +174,30 @@ class TruncationInfo:
     truncated: bool
     trusted_radius: float
     max_argument: float
+
+
+class _HalfProfile:
+    """One split profile on y ≥ 0: value, primitive and slope from cubic
+    splines on [0, ρ], frozen at the boundary value beyond ρ (primitive
+    continued linearly, slope zero)."""
+
+    def __init__(self, nodes: NDArray, values: NDArray):
+        self.rho = float(nodes[-1])
+        self.value = CubicSpline(nodes, values)
+        self.primitive = self.value.antiderivative()
+        self.slope = self.value.derivative()
+        self.end = float(values[-1])
+        self.primitive_end = float(self.primitive(self.rho))
+
+    def __call__(self, y: NDArray, kind: str) -> NDArray:
+        inside = y <= self.rho
+        x = np.minimum(y, self.rho)
+        if kind == "value":
+            return np.where(inside, self.value(x), self.end)
+        if kind == "primitive":
+            beyond = self.primitive_end + (y - self.rho) * self.end
+            return np.where(inside, self.primitive(x), beyond)
+        return np.where(inside, self.slope(x), 0.0)
 
 
 class FreePropagator:
@@ -206,88 +216,41 @@ class FreePropagator:
         self.grid = pair.grid
         r = self.grid.nodes
         self._rho = float(r[-1])
-        self._sp = CubicSpline(r, pair.plus.values)
-        self._sm = CubicSpline(r, pair.minus.values)
-        self._ap = self._sp.antiderivative()
-        self._am = self._sm.antiderivative()
-        self._dp = self._sp.derivative()
-        self._dm = self._sm.derivative()
-        self._p_end = float(pair.plus.values[-1])
-        self._m_end = float(pair.minus.values[-1])
-        self._ap_end = float(self._ap(self._rho))
-        self._am_end = float(self._am(self._rho))
+        self._plus = _HalfProfile(r, pair.plus.values)
+        self._minus = _HalfProfile(r, pair.minus.values)
 
-    # -- profile evaluators on y ≥ 0 with frozen extension ---------------
-
-    def _half(self, spline, end, y):
-        return np.where(y <= self._rho, spline(np.minimum(y, self._rho)), end)
-
-    def _half_prim(self, anti, anti_end, end, y):
-        inside = anti(np.minimum(y, self._rho))
-        return np.where(y <= self._rho, inside, anti_end + (y - self._rho) * end)
-
-    def _half_slope(self, deriv, y):
-        return np.where(y <= self._rho, deriv(np.minimum(y, self._rho)), 0.0)
-
-    # -- reflection-aware evaluators on y ∈ ℝ -----------------------------
-
-    def _outward(self, y):
+    @staticmethod
+    def _reflected(y, front: _HalfProfile, back: _HalfProfile, kind: str = "value"):
+        """A travelling profile on y ∈ ℝ: front(y) for y ≥ 0 and back(|y|)
+        through the origin reflection, odd-reflected for the primitive and
+        the slope.  The outward profile is (plus, minus), the inward one
+        (minus, plus)."""
         y = np.asarray(y, dtype=float)
         a = np.abs(y)
-        return np.where(
-            y >= 0, self._half(self._sp, self._p_end, a), self._half(self._sm, self._m_end, a)
-        )
-
-    def _inward(self, y):
-        y = np.asarray(y, dtype=float)
-        a = np.abs(y)
-        return np.where(
-            y >= 0, self._half(self._sm, self._m_end, a), self._half(self._sp, self._p_end, a)
-        )
-
-    def _prim_outward(self, y):
-        y = np.asarray(y, dtype=float)
-        a = np.abs(y)
-        pos = self._half_prim(self._ap, self._ap_end, self._p_end, a)
-        neg = -self._half_prim(self._am, self._am_end, self._m_end, a)
-        return np.where(y >= 0, pos, neg)
-
-    def _prim_inward(self, y):
-        y = np.asarray(y, dtype=float)
-        a = np.abs(y)
-        pos = self._half_prim(self._am, self._am_end, self._m_end, a)
-        neg = -self._half_prim(self._ap, self._ap_end, self._p_end, a)
-        return np.where(y >= 0, pos, neg)
-
-    def _slope_outward(self, y):
-        y = np.asarray(y, dtype=float)
-        a = np.abs(y)
-        return np.where(
-            y >= 0, self._half_slope(self._dp, a), -self._half_slope(self._dm, a)
-        )
-
-    def _slope_inward(self, y):
-        y = np.asarray(y, dtype=float)
-        a = np.abs(y)
-        return np.where(
-            y >= 0, self._half_slope(self._dm, a), -self._half_slope(self._dp, a)
-        )
+        behind = back(a, kind)
+        if kind != "value":
+            behind = -behind
+        return np.where(y >= 0, front(a, kind), behind)
 
     # -- state evaluation --------------------------------------------------
 
     def displacement(self, r, t: float):
         """w(r, t) = r u(r, t)."""
         r = np.asarray(r, dtype=float)
-        return self._prim_outward(r - t) + self._prim_inward(r + t)
+        p, m = self._plus, self._minus
+        outward = self._reflected(r - t, p, m, "primitive")
+        return outward + self._reflected(r + t, m, p, "primitive")
 
     def displacement_t(self, r, t: float):
         r = np.asarray(r, dtype=float)
-        return -self._outward(r - t) + self._inward(r + t)
+        p, m = self._plus, self._minus
+        return -self._reflected(r - t, p, m) + self._reflected(r + t, m, p)
 
     def shell(self, r, t: float):
         """U(r, t) = ∂_r w = T(u(·, t))."""
         r = np.asarray(r, dtype=float)
-        return self._outward(r - t) + self._inward(r + t)
+        p, m = self._plus, self._minus
+        return self._reflected(r - t, p, m) + self._reflected(r + t, m, p)
 
     def at(self, r, t: float):
         """u(r, t); the origin value is the shell limit."""
@@ -299,13 +262,15 @@ class FreePropagator:
     def origin(self, ts):
         """u(0, t) = 2 U_minus(|t|) for t ≥ 0, 2 U_plus(|t|) for t ≤ 0."""
         ts = np.asarray(ts, dtype=float)
-        out = self._outward(-ts) + self._inward(ts)
+        p, m = self._plus, self._minus
+        out = self._reflected(-ts, p, m) + self._reflected(ts, m, p)
         return out if out.ndim else float(out)
 
     def origin_t(self, ts):
         """u_t(0, t) by the exact slope formula ∂_r w_t(0, t)."""
         ts = np.asarray(ts, dtype=float)
-        out = -self._slope_outward(-ts) + self._slope_inward(ts)
+        p, m = self._plus, self._minus
+        out = -self._reflected(-ts, p, m, "slope") + self._reflected(ts, m, p, "slope")
         return out if out.ndim else float(out)
 
     def trusted_radius(self, t: float) -> float:
@@ -381,8 +346,9 @@ def time_translate_split(pair: DalembertPair, t0: float) -> DalembertPair:
             f"insufficient grid extent: |t0| = {abs(t0):g} exceeds r_max = {pair.grid.r_max:g}"
         )
     r = pair.grid.nodes
-    plus = RadialField(pair.grid, prop._outward(r - t0), parity="none")
-    minus = RadialField(pair.grid, prop._inward(r + t0), parity="none")
+    p, m = prop._plus, prop._minus
+    plus = RadialField(pair.grid, prop._reflected(r - t0, p, m), parity="none")
+    minus = RadialField(pair.grid, prop._reflected(r + t0, m, p), parity="none")
     return DalembertPair(plus, minus)
 
 
@@ -428,8 +394,6 @@ def _lebedev26():
 
 
 _SPHERE_NODES, _SPHERE_WEIGHTS = _lebedev26()
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _sphere_mean(values: NDArray) -> float:

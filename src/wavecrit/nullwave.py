@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .criteria import _nirenberg_like, quadratic_global_condition
+from .criteria import Verdict, _nirenberg_like, quadratic_global_condition
 from .errors import (
     AdmissibilityError,
     CeasedSolutionError,
@@ -235,9 +235,10 @@ def detect_blowup(
 class NullSolution:
     """u = F⁻¹(v) with v carried exactly as a split free wave.
 
-    validity is "global" when the pointwise criterion holds strictly and
-    "cone-limited" otherwise, in which case first_zero records the boundary
-    touch (t0, r1).  Wherever the solution is valid, a < v < b pointwise.
+    validity is "global" when the pointwise criterion (verdict) holds
+    strictly and "cone-limited" otherwise, in which case first_zero records
+    the boundary touch (t0, r1).  Wherever the solution is valid, a < v < b
+    pointwise.
     """
 
     profile: NonlinearityProfile
@@ -245,6 +246,7 @@ class NullSolution:
     validity: str
     data: CauchyData
     propagator: FreePropagator
+    verdict: Verdict
     first_zero: Optional[Tuple[float, float]] = None
 
     def v(self, t: float) -> RadialField:
@@ -280,6 +282,7 @@ def null_solution(data: CauchyData, profile: NonlinearityProfile) -> NullSolutio
         validity=validity,
         data=data,
         propagator=FreePropagator(split),
+        verdict=verdict,
         first_zero=first_zero,
     )
 
@@ -296,9 +299,7 @@ def _require_unit_profile(sol: NullSolution):
 
 
 def _margin(sol: NullSolution, epsilon: Optional[float]) -> float:
-    eps = epsilon
-    if eps is None:
-        eps = quadratic_global_condition(sol.data, sol.profile).margin
+    eps = sol.verdict.margin if epsilon is None else epsilon
     if not eps > 0.0:
         raise AdmissibilityError(
             "bounds require a positive criterion margin", epsilon=float(eps)

@@ -6,7 +6,9 @@ measure, ∫_{ℝ³} f dx = 4π ∫₀^∞ f(r) r² dr.  This module provides
 
 * RadialGrid / RadialField: immutable containers with parity metadata
   (even profiles have f'(0) = 0, odd profiles vanish at the origin) and
-  an optional origin moment lim_{r→0} r f(r) for fields with a 1/r pole,
+  an optional origin moment lim_{r→0} r f(r) for fields with a 1/r pole;
+  RadialField.moment() and RadialField.from_moment() convert between a
+  field and its moment r f(r), detecting the pole from the origin value,
 * differentiate: second order, parity-aware at r = 0, one-sided at the
   outer end,
 * integrate_radial / line_integral: composite Simpson (order 4) with a
@@ -159,6 +161,25 @@ class RadialField:
             values = np.asarray(fn(r), dtype=float)
         return cls(grid, values, parity=parity, origin_moment=origin_moment)
 
+    @classmethod
+    def from_moment(cls, grid: RadialGrid, moment: NDArray) -> "RadialField":
+        """Even field with r f(r) = moment; inverse of moment().
+
+        A nonzero moment[0] (beyond 1e-12 of the largest moment) is a 1/r
+        pole: it becomes origin_moment and node 0 gets the r₁ sample.
+        Otherwise f(0) is the slope of the odd moment at the origin.
+        """
+        r = grid.nodes
+        moment = np.asarray(moment, dtype=float)
+        values = np.empty_like(moment)
+        values[1:] = moment[1:] / r[1:]
+        scale = float(np.max(np.abs(moment))) or 1.0
+        if abs(moment[0]) > 1e-12 * scale:
+            values[0] = values[1]
+            return cls(grid, values, origin_moment=float(moment[0]))
+        values[0] = _odd_origin_slope(r, moment)
+        return cls(grid, values)
+
     def moment(self) -> NDArray:
         """r f(r) with the exact origin limit at node 0."""
         m = self.grid.nodes * self.values
@@ -219,11 +240,18 @@ class Field3D:
         return acc / h**2
 
 
+def _odd_origin_slope(r: NDArray, y: NDArray) -> float:
+    """y'(0) of an odd profile from its first two nodes by the reflected
+    elimination (y₁ h₂³ - y₂ h₁³)/(h₁ h₂ (h₂² - h₁²))."""
+    h1, h2 = r[1], r[2]
+    return (y[1] * h2**3 - y[2] * h1**3) / (h1 * h2 * (h2**2 - h1**2))
+
+
 def differentiate(f: RadialField) -> RadialField:
     """Second-order derivative on the grid; parity decides the r = 0 value.
 
     Even profiles get f'(0) = 0 exactly; odd profiles use the reflected
-    two-node elimination f'(0) = (f₁ h₂³ - f₂ h₁³)/(h₁ h₂ (h₂² - h₁²)).
+    two-node elimination of _odd_origin_slope.
     The outer end is one-sided second order.  Parity flips under d/dr.
     """
     if f.grid.n < 4:
@@ -234,8 +262,7 @@ def differentiate(f: RadialField) -> RadialField:
         if f.parity == "even":
             d[0] = 0.0
         elif f.parity == "odd":
-            h1, h2 = r[1], r[2]
-            d[0] = (y[1] * h2**3 - y[2] * h1**3) / (h1 * h2 * (h2**2 - h1**2))
+            d[0] = _odd_origin_slope(r, y)
     flipped = {"even": "odd", "odd": "even", "none": "none"}
     return RadialField(f.grid, d, parity=flipped[f.parity])
 

@@ -69,13 +69,7 @@ def gaussian_data(amplitude, center=0.0, width=1.0, grid=GRID):
 def scaled_velocity_data(grid, scale):
     # (0, scale * (S_r + S/r)): the velocity slot carries the 1/r pole
     m = scale * soliton("ground", 4).outgoing_moment(grid.nodes)
-    vals = np.empty_like(grid.nodes)
-    vals[1:] = m[1:] / grid.nodes[1:]
-    vals[0] = vals[1]
-    return CauchyData(
-        RadialField(grid, np.zeros(grid.n)),
-        RadialField(grid, vals, origin_moment=float(m[0])),
-    )
+    return CauchyData(RadialField(grid, np.zeros(grid.n)), RadialField.from_moment(grid, m))
 
 
 def test_01_closed_form_ground_state_integrals():
@@ -250,13 +244,7 @@ def random_admissible_family(rng, grid=GRID):
     u0 = np.empty_like(nodes)
     u0[1:] = shell[1:] / nodes[1:]
     u0[0] = m[0]
-    vel = np.empty_like(nodes)
-    vel[1:] = beta * m[1:] / nodes[1:]
-    vel[0] = vel[1]
-    return CauchyData(
-        RadialField(grid, u0),
-        RadialField(grid, vel, origin_moment=float(beta * m[0])),
-    )
+    return CauchyData(RadialField(grid, u0), RadialField.from_moment(grid, beta * m))
 
 
 def test_07_monotone_iteration_and_comparison_property():

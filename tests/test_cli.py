@@ -245,12 +245,36 @@ def test_exit_two_on_wrong_equation_for_action(tmp_path, capsys):
 # determinism
 
 
-def test_reports_are_bit_identical(tmp_path):
+BUNDLED = (
+    "blowup-gaussian-f1",
+    "constant-null",
+    "iterate-ground",
+    "oracle-free-gaussian",
+    "window-minus",
+    "window-plus",
+)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_reports_are_bit_identical(tmp_path, name):
+    # each bundled scenario under its own action; JSON, CSV and gnuplot files
+    action = load_scenario(name)["action"]
     a, b = tmp_path / "a", tmp_path / "b"
-    main(["classify", "--config", "constant-null", "--out-dir", str(a)])
-    main(["classify", "--config", "constant-null", "--out-dir", str(b)])
-    name = "constant-null-classify.json"
-    assert (a / name).read_bytes() == (b / name).read_bytes()
+    main([action, "--config", name, "--out-dir", str(a)])
+    main([action, "--config", name, "--out-dir", str(b)])
+    files = sorted(p.name for p in a.iterdir())
+    assert f"{name}-{action}.json" in files
+    assert files == sorted(p.name for p in b.iterdir())
+    for file in files:
+        assert (a / file).read_bytes() == (b / file).read_bytes(), file
+
+
+def test_workers_only_on_sweep(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--config", "constant-null", "--workers", "2",
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,19 @@ class TestPropagation:
         np.testing.assert_allclose(st0.u0.values, data.u0.values, atol=1e-8)
         np.testing.assert_allclose(st0.u1.values, data.u1.values, atol=1e-8)
 
+        # pole velocities: u(0, 0) = u0(0) pins the y = 0 reflection convention
+        u0 = RadialField.from_callable(grid(), lambda r: np.exp(-(r**2)))
+        for orientation in ("expanding", "collapsing"):
+            data = CauchyData(u0, outgoing_velocity(u0, orientation))
+            assert data.u1.origin_moment != 0.0
+            prop = FreePropagator(data)
+            assert prop.origin(0.0) == pytest.approx(u0.values[0], abs=1e-12)
+            st0 = prop.state(0.0)
+            np.testing.assert_allclose(st0.u0.values, u0.values, atol=1e-8)
+            np.testing.assert_allclose(
+                st0.u1.moment()[1:], data.u1.moment()[1:], atol=1e-8
+            )
+
     def test_velocity_sign_forward_in_time(self):
         # u_t(·,0⁺) must match u1, not -u1
         data = CauchyData.from_callables(grid(), bump_at(3.0), bump_at(3.0, 2.0))
@@ -241,12 +254,16 @@ class TestPropagation:
 
 class TestTimeTranslate:
     def test_identity_at_zero(self):
-        pair = dalembert_split(
-            CauchyData.from_callables(grid(), bump_at(4.0), bump_at(3.0, 2.0))
-        )
-        out = time_translate_split(pair, 0.0)
-        np.testing.assert_allclose(out.plus.values, pair.plus.values, atol=1e-10)
-        np.testing.assert_allclose(out.minus.values, pair.minus.values, atol=1e-10)
+        u0 = RadialField.from_callable(grid(), lambda r: np.exp(-(r**2)))
+        for data in (
+            CauchyData.from_callables(grid(), bump_at(4.0), bump_at(3.0, 2.0)),
+            CauchyData(u0, outgoing_velocity(u0, "expanding")),
+            CauchyData(u0, outgoing_velocity(u0, "collapsing")),
+        ):
+            pair = dalembert_split(data)
+            out = time_translate_split(pair, 0.0)
+            np.testing.assert_allclose(out.plus.values, pair.plus.values, atol=1e-10)
+            np.testing.assert_allclose(out.minus.values, pair.minus.values, atol=1e-10)
 
     def test_inward_profile_advances(self):
         # for t0 > 0 the inward profile is sampled at r + t0

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from wavecrit import (
@@ -76,6 +78,31 @@ class TestRadialField:
         f = gaussian_field(n=9, r_max=4.0)
         with pytest.raises(ValueError):
             f.values[0] = 2.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(-2, 2), b=st.floats(-2, 2), c=st.floats(0.3, 2),
+        pole=st.one_of(st.just(0.0), st.floats(0.1, 3), st.floats(-3, -0.1)),
+    )
+    def test_from_moment_inverts_moment(self, a, b, c, pole):
+        # even smooth part plus an optional 1/r pole of moment `pole`
+        g = RadialGrid.uniform(8.0, 401)
+        r = g.nodes
+        values = a * np.exp(-c * r**2) + b / (1 + r**2)
+        if pole != 0.0:
+            values[1:] += pole / r[1:]
+            values[0] = values[1]
+        f = RadialField(g, values, origin_moment=pole)
+        back = RadialField.from_moment(g, f.moment())
+        assert back.origin_moment == f.origin_moment
+        assert back.parity == "even"
+        np.testing.assert_allclose(back.moment(), f.moment(), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(back.values[1:], f.values[1:], rtol=1e-13, atol=1e-13)
+        if pole == 0.0:
+            # f(0) is the origin slope of the odd moment, exact to O(h^4)
+            assert back.values[0] == pytest.approx(f.values[0], abs=1e-5)
+        else:
+            assert back.values[0] == back.values[1]
 
 
 class TestDifferentiate:
