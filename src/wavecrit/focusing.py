@@ -15,7 +15,6 @@ and the static supersolution test.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -181,26 +180,26 @@ def sine_kernel_radial(f: RadialField, t: float) -> RadialField:
 # iteration.
 
 
-@lru_cache(maxsize=None)
-def _time_weights(j: int) -> NDArray:
-    if j < 1:
-        raise ValueError("weights need at least one interval")
-    if j == 1:
-        return np.array([0.5, 0.5])
-    w = np.zeros(j + 1)
-    end = j if j % 2 == 0 else j - 3
-    if end >= 2:
-        w[0] += 1.0 / 3.0
-        w[end] += 1.0 / 3.0
-        w[1:end:2] += 4.0 / 3.0
-        w[2:end:2] += 2.0 / 3.0
-    if j % 2 == 1:
-        w[j - 3] += 3.0 / 8.0
-        w[j - 2] += 9.0 / 8.0
-        w[j - 1] += 9.0 / 8.0
-        w[j] += 3.0 / 8.0
-    w.setflags(write=False)
-    return w
+def _time_sums(E: NDArray) -> NDArray:
+    """S[:, j] = Σ_{m<j} w_j[m] E[:, m] for every j, from one prefix sum.
+
+    Read from the left, the Simpson weights are s_m = 1/3, 4/3, 2/3, 4/3, ...
+    whatever j is, so with Q[p] = Σ_{m<p} s_m E[m]: S[1] = E[0]/2, S[j] = Q[j]
+    for even j, and S[j] = Q[j-3] + c E[j-3] + 9/8 (E[j-2] + E[j-1]) for odd
+    j >= 3, where c = 3/8 at j = 3 and 1/3 + 3/8 beyond.
+    """
+    n_t = E.shape[1]
+    s = np.where(np.arange(n_t - 1) % 2, 4.0 / 3.0, 2.0 / 3.0)
+    s[:1] = 1.0 / 3.0
+    S = np.zeros_like(E)
+    np.cumsum(E[:, :-1] * s, axis=1, out=S[:, 1:])
+    if n_t > 1:
+        S[:, 1] = 0.5 * E[:, 0]
+    if n_t > 3:  # odd j >= 3, reading m = j - 3, j - 2, j - 1
+        c = np.where(np.arange(3, n_t, 2) == 3, 3.0 / 8.0, 17.0 / 24.0)
+        m3, m2, m1 = (slice(k, n_t - 3 + k, 2) for k in range(3))
+        S[:, 3::2] = S[:, m3] + c * E[:, m3] + 9.0 / 8.0 * (E[:, m2] + E[:, m1])
+    return S
 
 
 def _uniform_spacing(grid: RadialGrid) -> float:
@@ -226,8 +225,7 @@ def _lattice_times(grid: RadialGrid, horizon: float) -> NDArray:
 
 
 def _free_lattice(data: CauchyData, times: NDArray) -> NDArray:
-    prop = FreePropagator(data)
-    return np.stack([prop.field(float(t)).values for t in times], axis=1)
+    return FreePropagator(data).at(data.grid.nodes[:, None], times[None, :])
 
 
 def _power_source(values: NDArray, exponent: float, cap: float) -> NDArray:
@@ -241,35 +239,30 @@ def _duhamel_lattice(
     """free + ∫₀^t kernel[|source|^N source](s) ds on the uniform lattice.
 
     With the time step equal to the node spacing, both kernel limits land
-    exactly on lattice nodes, so the inner integrals are pure lookups into
-    each slice's cumulative moment table.
+    exactly on nodes: out[i, j] = free[i, j] + dt/(2 r_i) Σ_{m<j} w_j[m]
+    (M̃[i+j-m, m] - M̃[i-j+m, m]), where M̃[x, m] = M[min(|x|, n_r-1), m] is
+    the cumulative moment of slice m, reflected at the origin and frozen at
+    the top node.  As m runs, the first term stays on the anti-diagonal
+    k = i + j and the second on the diagonal d = i - j, so each is one
+    weighted prefix sum along a gathered row, read back at column j.  The
+    origin row sums the moment density r f itself along anti-diagonals.
     """
     n_r, n_t = source.shape
     dt = nodes[1] - nodes[0]
-    f = _power_source(source, exponent, cap)
-    g = nodes[:, None] * f
-    M = np.vstack(
-        [
-            np.zeros((1, n_t)),
-            np.cumsum(0.5 * (g[1:] + g[:-1]) * dt, axis=0),
-        ]
-    )
-    idx = np.arange(n_r)
+    g = nodes[:, None] * _power_source(source, exponent, cap)
+    M = np.zeros((n_r, n_t))
+    np.cumsum(0.5 * (g[1:] + g[:-1]) * dt, axis=0, out=M[1:])
+    m = np.arange(n_t)
+    row = np.arange(n_r + n_t - 1)[:, None]
+    # flat indices of M̃[k - m, m] with k = row, and of M̃[d + m, m] with d = row - (n_t - 1)
+    along = np.minimum(np.abs(row - m), n_r - 1) * n_t + m
+    across = np.minimum(np.abs(row - (n_t - 1) + m), n_r - 1) * n_t + m
+    i, j = np.arange(1, n_r)[:, None], m[1:]
+    A = _time_sums(M.ravel()[along]).ravel()[(i + j) * n_t + j]
+    B = _time_sums(M.ravel()[across]).ravel()[(i - j + n_t - 1) * n_t + j]
     out = free.copy()
-    inv2r = np.zeros(n_r)
-    inv2r[1:] = 0.5 / nodes[1:]
-    for j in range(1, n_t):
-        w = _time_weights(j)
-        acc = np.zeros(n_r)
-        for m in range(j):  # source slice m, kernel radius (j - m) dt; the
-            # j-th slice has radius zero and contributes nothing.
-            shift = j - m
-            hi = np.minimum(idx + shift, n_r - 1)
-            lo = np.abs(idx - shift)
-            col = (M[hi, m] - M[lo, m]) * inv2r
-            col[0] = g[shift, m] if shift < n_r else g[-1, m]
-            acc += w[m] * col
-        out[:, j] = free[:, j] + dt * acc
+    out[1:, 1:] += dt * (0.5 / nodes[1:, None]) * (A - B)
+    out[0, 1:] += dt * np.diagonal(_time_sums(g.ravel()[along[:n_t]]))[1:]
     return out
 
 
@@ -304,6 +297,8 @@ def duhamel_apply(
             "source lattice must be nodes x times", shape=source.shape
         )
     _uniform_spacing(data.grid)
+    if source.shape[1] > nodes.size:
+        raise ExtentError("more time columns than nodes", shape=source.shape)
     times = data.grid.spacing * np.arange(source.shape[1])
     free = _free_lattice(data, times)
     return _duhamel_lattice(free, source, nodes, exponent, cap)
@@ -338,13 +333,8 @@ class IterationState:
 
     def sup_profile(self) -> NDArray:
         """Per-time sup of |u_n| over live nodes (nan where none)."""
-        masked = np.where(self.live, np.abs(self.u_n), np.nan)
-        out = np.full(self.times.size, np.nan)
-        for j in range(self.times.size):
-            col = masked[:, j]
-            if np.any(np.isfinite(col)):
-                out[j] = np.nanmax(col)
-        return out
+        sups = np.max(np.where(self.live, np.abs(self.u_n), -np.inf), axis=0)
+        return np.where(sups > -np.inf, sups, np.nan)
 
     @property
     def diverged_fraction(self) -> float:

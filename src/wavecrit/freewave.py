@@ -252,8 +252,9 @@ class FreePropagator:
         p, m = self._plus, self._minus
         return self._reflected(r - t, p, m) + self._reflected(r + t, m, p)
 
-    def at(self, r, t: float):
-        """u(r, t); the origin value is the shell limit."""
+    def at(self, r, t):
+        """u(r, t), broadcasting r against t; the origin value is the shell
+        limit."""
         r = np.asarray(r, dtype=float)
         w = self.displacement(r, t)
         out = np.where(r > 0, w / np.where(r > 0, r, 1.0), self.shell(0.0, t))
@@ -290,6 +291,8 @@ class FreePropagator:
     def field_t(self, t: float) -> RadialField:
         r = self.grid.nodes
         wt = self.displacement_t(r, t)
+        if wt[0] != 0.0:  # only at t = 0, for a velocity with a 1/r pole
+            return RadialField.from_moment(self.grid, wt)
         vals = np.empty_like(wt)
         vals[1:] = wt[1:] / r[1:]
         vals[0] = self.origin_t(t)

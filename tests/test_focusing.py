@@ -1,7 +1,11 @@
 """Focusing equation: kernel, monotone iteration, solitons, probes."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavecrit import (
     AdmissibilityError,
@@ -27,7 +31,12 @@ from wavecrit import (
     supercritical_envelope,
     supersolution_check,
 )
-from wavecrit.focusing import _scaled_velocity_data, _time_weights
+from wavecrit.focusing import (
+    _duhamel_lattice,
+    _infected_mask,
+    _power_source,
+    _scaled_velocity_data,
+)
 
 GRID = RadialGrid.uniform(8.0, 161)  # h = 0.05, lattice-sized
 FINE = RadialGrid.uniform(10.0, 501)
@@ -160,6 +169,57 @@ def test_kernel_rejects_unresolved_source_and_negative_time():
         sine_kernel_radial(one, -0.5)
 
 
+# ---------------------------------------------------------------------------
+# lattice Duhamel map against the slice-by-slice double loop
+
+
+@lru_cache(maxsize=None)
+def _time_weights(j):
+    # trapezoid (j = 1), composite Simpson (even j), Simpson plus a 3/8
+    # block (odd j >= 3), over j uniform intervals
+    if j == 1:
+        return np.array([0.5, 0.5])
+    w = np.zeros(j + 1)
+    end = j if j % 2 == 0 else j - 3
+    if end >= 2:
+        w[0] += 1.0 / 3.0
+        w[end] += 1.0 / 3.0
+        w[1:end:2] += 4.0 / 3.0
+        w[2:end:2] += 2.0 / 3.0
+    if j % 2 == 1:
+        w[j - 3] += 3.0 / 8.0
+        w[j - 2] += 9.0 / 8.0
+        w[j - 1] += 9.0 / 8.0
+        w[j] += 3.0 / 8.0
+    return w
+
+
+def _reference_duhamel(free, source, nodes, exponent, cap):
+    # O(n_r n_t^2): every output column sums its source slices one by one
+    n_r, n_t = source.shape
+    dt = nodes[1] - nodes[0]
+    g = nodes[:, None] * _power_source(source, exponent, cap)
+    M = np.vstack(
+        [np.zeros((1, n_t)), np.cumsum(0.5 * (g[1:] + g[:-1]) * dt, axis=0)]
+    )
+    idx = np.arange(n_r)
+    out = free.copy()
+    inv2r = np.zeros(n_r)
+    inv2r[1:] = 0.5 / nodes[1:]
+    for j in range(1, n_t):
+        w = _time_weights(j)
+        acc = np.zeros(n_r)
+        for m in range(j):  # the j-th slice has kernel radius zero
+            shift = j - m
+            hi = np.minimum(idx + shift, n_r - 1)
+            lo = np.abs(idx - shift)
+            col = (M[hi, m] - M[lo, m]) * inv2r
+            col[0] = g[shift, m] if shift < n_r else g[-1, m]
+            acc += w[m] * col
+        out[:, j] = free[:, j] + dt * acc
+    return out
+
+
 def test_time_weights_positive_and_exact_on_parabolas():
     for j in range(1, 12):
         w = _time_weights(j)
@@ -197,6 +257,43 @@ def test_ground_state_is_lattice_fixed_point():
     assert residuals[1] < 0.5 * residuals[0]  # frozen: 4.3e-5, clean O(h^2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_r=st.integers(2, 40),
+    fill=st.floats(0.0, 1.0),
+    N=st.sampled_from([0.0, 4.0]),
+    cap=st.sampled_from([np.inf, 1.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lattice_apply_matches_double_loop(n_r, fill, N, cap, seed):
+    # n_t runs from 2 (the trapezoid rule alone) to n_r (the clamped top row)
+    n_t = 2 + int(round(fill * (n_r - 2)))
+    rng = np.random.default_rng(seed)
+    nodes = 0.05 * np.arange(n_r)
+    free = rng.normal(size=(n_r, n_t))
+    source = rng.normal(size=(n_r, n_t))
+    ref = _reference_duhamel(free, source, nodes, N, cap)
+    out = _duhamel_lattice(free, source, nodes, N, cap)
+    assert np.array_equal(out[:, 0], free[:, 0])
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "q,m", [(0, 0), (1, 0), (7, 3), (20, 0), (20, 9), (12, 10)]
+)
+def test_unit_impulse_stays_in_its_forward_cone(q, m):
+    # what masking relies on: a source node reaches only its forward cone
+    n_r, n_t = 21, 11
+    nodes = 0.05 * np.arange(n_r)
+    source = np.zeros((n_r, n_t))
+    source[q, m] = 1.0
+    out = _duhamel_lattice(np.zeros((n_r, n_t)), source, nodes, 0.0, np.inf)
+    cone = _infected_mask(source > 0)
+    assert np.all(out[~cone] == 0.0)
+    if 0 < q and m < n_t - 1:
+        assert np.any(out[cone] != 0.0)
+
+
 def test_duhamel_apply_validates_shape_and_grid():
     data = ground_data()
     with pytest.raises(ConfigError):
@@ -205,6 +302,14 @@ def test_duhamel_apply_validates_shape_and_grid():
     gdata = CauchyData(RadialField(graded, np.zeros(161)), RadialField(graded, np.zeros(161)))
     with pytest.raises(GridError):
         duhamel_apply(gdata, np.zeros((161, 10)), 4.0)
+
+
+def test_duhamel_apply_refuses_more_columns_than_nodes():
+    grid = RadialGrid.uniform(0.5, 11)
+    data = CauchyData(zero(grid), zero(grid))
+    assert duhamel_apply(data, np.ones((11, 11)), 4.0).shape == (11, 11)
+    with pytest.raises(ExtentError):
+        duhamel_apply(data, np.ones((11, 12)), 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -186,9 +186,11 @@ class TestPropagation:
             assert prop.origin(0.0) == pytest.approx(u0.values[0], abs=1e-12)
             st0 = prop.state(0.0)
             np.testing.assert_allclose(st0.u0.values, u0.values, atol=1e-8)
-            np.testing.assert_allclose(
-                st0.u1.moment()[1:], data.u1.moment()[1:], atol=1e-8
+            np.testing.assert_allclose(st0.u1.moment(), data.u1.moment(), atol=1e-8)
+            assert st0.u1.origin_moment == pytest.approx(
+                data.u1.origin_moment, abs=1e-12
             )
+            assert wave_energy(st0) == pytest.approx(wave_energy(data), rel=1e-6)
 
     def test_velocity_sign_forward_in_time(self):
         # u_t(·,0⁺) must match u1, not -u1
