@@ -24,7 +24,7 @@ from wavecrit import (
     kato_norm,
     line_integral,
 )
-from wavecrit.radial import panel_cumulative
+from wavecrit.radial import _cube_kernel_spectrum, _cube_potential, panel_cumulative
 
 PI32 = np.pi ** 1.5  # 4π ∫₀^∞ e^{-r²} r² dr
 
@@ -179,6 +179,38 @@ class TestPanelCumulative:
         assert np.all(np.diff(vals) > 0)
 
 
+def _reference_potential(masses, h):
+    # O(n^6) direct sum: one pass over every sample per cell, the cell itself
+    # weighted by the average of 1/|x| over the ball of one cell's volume
+    n = masses.shape[0]
+    xs = h * np.arange(n)
+    X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+    ball_radius = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
+    singular_weight = 2.0 * np.pi * ball_radius**2 / h**3
+    flat = masses.ravel()
+    out = np.empty(flat.size)
+    for k, c in enumerate(pts):
+        dist = np.linalg.norm(pts - c, axis=1)
+        near = dist < 0.5 * h
+        inv = np.empty_like(dist)
+        inv[~near] = 1.0 / dist[~near]
+        inv[near] = singular_weight
+        out[k] = np.dot(flat, inv)
+    return out.reshape(masses.shape)
+
+
+def _cube_lookup(values, L):
+    # Field3D returning values[i, j, k] at the cube node nearest to each point
+    h = 2.0 * L / (values.shape[0] - 1)
+
+    def fn(p):
+        i = np.rint((np.atleast_2d(p) + L) / h).astype(int)
+        return values[i[:, 0], i[:, 1], i[:, 2]]
+
+    return Field3D(fn=fn, support_radius=L)
+
+
 class TestKatoNorm:
     def test_radial_gaussian(self):
         # sup at the origin: 4π ∫ e^{-r²} r dr = 2π
@@ -221,6 +253,56 @@ class TestKatoNorm:
         )
         res = kato_norm(f3, n_side=41)
         np.testing.assert_allclose(res.value, 2 * np.pi, rtol=0.05)
+
+    def test_cube_finds_off_center_sup(self):
+        # translation invariance: the sup is 2π, attained at the Gaussian's center
+        c = np.array([0.7, -0.4, 0.2])
+        f3 = Field3D(
+            fn=lambda p: np.exp(-np.sum((np.atleast_2d(p) - c) ** 2, axis=1)),
+            support_radius=6.0,
+        )
+        res = kato_norm(f3, n_side=41)
+        np.testing.assert_allclose(res.value, 2 * np.pi, rtol=0.05)
+        h = 12.0 / 40
+        assert np.linalg.norm(res.center - c) <= np.sqrt(3.0) * h
+
+    @pytest.mark.parametrize("bad,cell", [
+        (np.inf, (0.0, 0.0, 0.0)),
+        (np.nan, (1.2, -0.6, 3.0)),
+    ])
+    def test_cube_rejects_nonfinite_samples(self, bad, cell):
+        def fn(p):
+            p = np.atleast_2d(p)
+            out = np.exp(-np.sum(p**2, axis=1))
+            out[np.linalg.norm(p - np.array(cell), axis=1) < 1e-9] = bad
+            return out
+
+        with pytest.raises(KatoClassError) as info:
+            kato_norm(Field3D(fn=fn, support_radius=6.0), n_side=41)
+        np.testing.assert_allclose(info.value.witness_point, cell, atol=1e-12)
+        assert np.array_equal([info.value.witness_value], [bad], equal_nan=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_side=st.integers(3, 15),
+        L=st.floats(0.5, 10.0),
+        keep=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cube_potential_matches_direct_sum(self, n_side, L, keep, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.linspace(-L, L, n_side)
+        h = xs[1] - xs[0]
+        r = np.sqrt(xs[:, None, None] ** 2 + xs[None, :, None] ** 2 + xs[None, None, :] ** 2)
+        # the envelope keeps outer shells lighter, as the growth check asks
+        shape = (n_side,) * 3
+        values = rng.random(shape) * (rng.random(shape) < keep) * np.exp(-((r / (0.4 * L)) ** 2))
+        masses = values * h**3
+        ref = _reference_potential(masses, h)
+        potential = _cube_potential(masses, h, _cube_kernel_spectrum(n_side))
+        np.testing.assert_allclose(potential, ref, rtol=1e-12, atol=0.0)
+        res = kato_norm(_cube_lookup(values, L), n_side=n_side)
+        np.testing.assert_allclose(res.value, ref.max(), rtol=1e-12, atol=0.0)
 
 
 class TestInverseLaplacian:
