@@ -103,55 +103,93 @@ def _level_slack(prop: FreePropagator, side: str, a: float, b: float):
     return lambda rs, t: b - prop.at(rs, t)
 
 
-def _refine_min(rs, vals, slack, t):
-    """Node argmin improved by one quadratic step, re-evaluated exactly."""
-    i = int(np.argmin(vals))
-    best_r, best_v = float(rs[i]), float(vals[i])
-    if 0 < i < len(rs) - 1:
-        # centered abscissae keep the 3-point fit well conditioned
-        c2, c1, _ = np.polyfit(rs[i - 1 : i + 2] - rs[i], vals[i - 1 : i + 2], 2)
-        if c2 > 0.0:
-            vertex = rs[i] + float(np.clip(-c1 / (2.0 * c2), rs[i - 1] - rs[i], rs[i + 1] - rs[i]))
-            v = float(slack(np.array([vertex]), t)[0])
-            if v < best_v:
-                best_r, best_v = vertex, v
+_SCAN_POINTS = 1 << 14  # (times × radii) points per block of the first-touch scan
+
+
+def _refine_rows(slack, ts, rs, vals, lengths):
+    """Row minima of vals (padding +inf beyond lengths) and their radii, each
+    interior argmin improved by the vertex of the parabola through it and its
+    two neighbours when that parabola opens upward, re-evaluated exactly."""
+    rows = np.arange(ts.size)
+    i = np.argmin(vals, axis=1)
+    best_v, best_r = vals[rows, i], rs[rows, i]
+    inner = np.flatnonzero((i > 0) & (i < lengths - 1))
+    near = i[inner, None] + np.arange(-1, 2)
+    x, y = rs[inner[:, None], near], vals[inner[:, None], near]
+    dm, dp = x[:, 1] - x[:, 0], x[:, 2] - x[:, 1]
+    s0, s1 = (y[:, 1] - y[:, 0]) / dm, (y[:, 2] - y[:, 1]) / dp
+    up = s1 > s0
+    inner = inner[up]
+    if inner.size:
+        # vertex offset -c1/(2 c2) of the parabola in the centred abscissa
+        offset = -(s0 * dp + s1 * dm)[up] / (2.0 * (s1 - s0)[up])
+        vertex = x[up, 1] + np.clip(offset, -dm[up], dp[up])
+        v = slack(vertex, ts[inner])
+        better = v < best_v[inner]
+        best_v[inner[better]] = v[better]
+        best_r[inner[better]] = vertex[better]
     return best_v, best_r
 
 
-def _cone_min(slack, nodes, r0: float, t: float):
-    edge = r0 - abs(t)
-    if edge <= 0.0:
-        return float(slack(np.array([0.0]), t)[0]), 0.0
-    rs = nodes[nodes < edge]
-    rs = np.append(rs, edge)
-    if rs.size < 9:
-        rs = np.linspace(0.0, edge, 33)
-    return _refine_min(rs, slack(rs, t), slack, t)
+def _cone_rows(nodes, r0: float, ts):
+    """Padded (times × radii) rows of the shrinking cone r ≤ r0 - |t| and
+    their lengths: the nodes below the edge then the edge itself, 33 even
+    points on [0, edge] when that gives fewer than 9, the origin alone once
+    the edge is ≤ 0.  Padding holds the nodes beyond the edge."""
+    edge = r0 - np.abs(ts)
+    k = np.searchsorted(nodes, edge)  # nodes strictly below the edge
+    origin = edge <= 0.0
+    coarse = ~origin & (k + 1 < 9)
+    lengths = np.where(origin, 1, np.where(coarse, 33, k + 1))
+    width = int(lengths.max())
+    rs = np.tile(nodes[np.minimum(np.arange(width), nodes.size - 1)], (ts.size, 1))
+    rs[np.arange(ts.size), k] = edge
+    rs[origin, 0] = 0.0
+    if np.any(coarse):
+        even = np.arange(33.0) * (edge[coarse, None] / 32.0)  # = np.linspace(0, edge, 33)
+        even[:, -1] = edge[coarse]
+        rs[coarse, :33] = even
+    return rs, lengths
+
+
+def _cone_mins(slack, nodes, r0: float, ts):
+    """Refined minimum of slack over the shrinking cone and its radius, for
+    each time in ts, from one broadcast evaluation plus one for the vertices."""
+    rs, lengths = _cone_rows(nodes, r0, ts)
+    vals = slack(rs, ts[:, None])
+    vals[np.arange(rs.shape[1]) >= lengths[:, None]] = np.inf
+    return _refine_rows(slack, ts, rs, vals, lengths)
 
 
 def _first_touch(slack, nodes, r0: float, scan: int = 1024, tol: float = 1e-10):
-    """Earliest t ≥ 0 with min over the shrinking cone ≤ 0: scan then bisect."""
-    m, loc = _cone_min(slack, nodes, r0, 0.0)
-    if m <= 0.0:
-        return 0.0, loc
-    lo = 0.0
-    hi = hi_loc = None
-    for t in np.linspace(0.0, r0, scan + 1)[1:]:
-        m, loc = _cone_min(slack, nodes, r0, t)
-        if m <= 0.0:
-            hi, hi_loc = float(t), loc
+    """Earliest t ≥ 0 with min over the shrinking cone ≤ 0: scan then bisect.
+
+    The scan times go through _cone_mins in blocks of about _SCAN_POINTS
+    (times × radii) points, stopping at the first block that holds a touch;
+    the block size only bounds memory and is not a setting.
+    """
+    ts = np.linspace(0.0, r0, scan + 1)
+    step = max(1, _SCAN_POINTS // (int(np.searchsorted(nodes, r0)) + 1))  # t = 0 is widest
+    for start in range(0, ts.size, step):
+        m, loc = _cone_mins(slack, nodes, r0, ts[start : start + step])
+        hit = np.flatnonzero(m <= 0.0)
+        if hit.size:
             break
-        lo = float(t)
-    if hi is None:
+    else:
         raise WitnessError(
             "criterion-failure witness inconsistent: no boundary touch inside the cone",
             window=float(r0),
         )
+    i = start + int(hit[0])
+    hi, hi_loc = float(ts[i]), float(loc[hit[0]])
+    if i == 0:
+        return hi, hi_loc
+    lo = float(ts[i - 1])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        m, loc = _cone_min(slack, nodes, r0, mid)
-        if m <= 0.0:
-            hi, hi_loc = mid, loc
+        m, loc = _cone_mins(slack, nodes, r0, np.array([mid]))
+        if m[0] <= 0.0:
+            hi, hi_loc = mid, float(loc[0])
         else:
             lo = mid
     return hi, hi_loc
@@ -163,19 +201,17 @@ def _log_rate_fit(slack, profile, side, sign, t0, r1):
     if tau_hi <= 1e-5:
         return (math.nan, math.nan)
     taus = np.geomspace(1e-5, tau_hi, 17)
-    xs, us = [], []
-    for tau in taus:
-        t = sign * (t0 - tau)
-        rs = np.linspace(max(0.0, r1 - 0.5), r1 + 0.5, 201)
-        s_min, _ = _refine_min(rs, slack(rs, t), slack, t)
-        if s_min <= 0.0:
-            continue
-        level = profile.a + s_min if side == "lower" else profile.b - s_min
-        xs.append(-math.log(tau))
-        us.append(abs(float(profile.F_inverse(level))))
-    if len(xs) < 5:
+    ts = sign * (t0 - taus)
+    rs = np.broadcast_to(np.linspace(max(0.0, r1 - 0.5), r1 + 0.5, 201), (taus.size, 201))
+    s_min, _ = _refine_rows(slack, ts, rs, slack(rs, ts[:, None]), np.full(taus.size, 201))
+    keep = s_min > 0.0
+    if np.count_nonzero(keep) < 5:
         return (math.nan, math.nan)
-    slope, intercept = np.polyfit(xs, us, 1)
+    level = profile.a + s_min[keep] if side == "lower" else profile.b - s_min[keep]
+    # one F_inverse call per level: a batched call iterates every level until
+    # the slowest converges, which moves the others in their last digits
+    us = [abs(profile.F_inverse(y)) for y in level]
+    slope, intercept = np.polyfit(-np.log(taus[keep]), us, 1)
     return (float(intercept), float(slope))
 
 
@@ -236,9 +272,9 @@ class NullSolution:
     """u = F⁻¹(v) with v carried exactly as a split free wave.
 
     validity is "global" when the pointwise criterion (verdict) holds
-    strictly and "cone-limited" otherwise, in which case first_zero records
-    the boundary touch (t0, r1).  Wherever the solution is valid, a < v < b
-    pointwise.
+    strictly and "cone-limited" otherwise, in which case blowup is the
+    detect_blowup report (without the rate fit) and first_zero its boundary
+    touch (t0, r1).  Wherever the solution is valid, a < v < b pointwise.
     """
 
     profile: NonlinearityProfile
@@ -248,6 +284,7 @@ class NullSolution:
     propagator: FreePropagator
     verdict: Verdict
     first_zero: Optional[Tuple[float, float]] = None
+    blowup: Optional[BlowupReport] = None
 
     def v(self, t: float) -> RadialField:
         return self.propagator.field(t)
@@ -269,7 +306,7 @@ class NullSolution:
 def null_solution(data: CauchyData, profile: NonlinearityProfile) -> NullSolution:
     verdict = quadratic_global_condition(data, profile)
     split = dalembert_split(push_forward(data, profile))
-    first_zero = None
+    first_zero = report = None
     if verdict.holds:
         validity = "global"
     else:
@@ -284,6 +321,7 @@ def null_solution(data: CauchyData, profile: NonlinearityProfile) -> NullSolutio
         propagator=FreePropagator(split),
         verdict=verdict,
         first_zero=first_zero,
+        blowup=report,
     )
 
 

@@ -35,7 +35,7 @@ from numpy.typing import NDArray
 from scipy.fft import dctn, fft, ifft, irfft, rfft
 from scipy.integrate import cumulative_trapezoid, quad, simpson
 
-from .errors import GridError, KatoClassError
+from .errors import ExtentError, GridError, KatoClassError
 
 __all__ = [
     "RadialGrid",
@@ -455,14 +455,19 @@ def _kato_cube(f: Field3D, n_side: int) -> KatoNormResult:
         )
     vals = np.abs(samples) * h**3
     radii = np.linalg.norm(pts, axis=1)
-    # Shell growth check: contributions must not increase outward.
+    # Heuristic resolution check: outer shells that keep growing mean the
+    # cube cuts the field off, whether or not the field is in the Kato class.
     edges = np.linspace(0.0, L, 6)
     shells = np.array([
         vals[(radii >= lo) & (radii < hi)].sum() for lo, hi in zip(edges, edges[1:])
     ])
     total = vals.sum()
     if shells[-1] > shells[-2] > shells[-3] > 0:
-        raise KatoClassError("not in Kato class: shell contributions grow outward")
+        raise ExtentError(
+            "Kato cube does not resolve the field: shell masses grow outward",
+            shell_masses=shells,
+            support_radius=L,
+        )
     tail_fraction = float(shells[-1] / total) if total > 0 else 0.0
     del pts, samples, radii  # the transforms need none of them
     potential = _cube_potential(vals.reshape((n_side,) * 3), h, spectrum)
@@ -482,7 +487,10 @@ def kato_norm(f, n_side: int = 41) -> KatoNormResult:
     zero-padded FFT (Hockney & Eastwood 1988): the sup is taken over every
     cube cell, and each cell carries the average of 1/|x| over the ball of
     its own volume.  A non-finite sample raises KatoClassError naming its
-    cell, before any sample is transformed.
+    cell, before any sample is transformed.  When the mass in the outer
+    shells of the cube still grows outward the cube is judged too small for
+    the field (a heuristic, not a Kato-class test) and ExtentError is raised
+    with the shell masses.
     """
     if isinstance(f, RadialField):
         return _kato_radial(f)

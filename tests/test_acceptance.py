@@ -113,8 +113,8 @@ def test_02_criterion_sharpness_on_randomized_families():
             lambda r: amp * np.exp(-((r - center) ** 2) / width**2),
             lambda r: beta * np.exp(-(r**2)),
         )
-        verdict = null_solution(data, unit)
-        if verdict.validity == "global":
+        sol = null_solution(data, unit)
+        if sol.validity == "global":
             held += 1
             vdata = push_forward(data, unit, orientation="exp")
             prop = FreePropagator(dalembert_split(vdata))
@@ -131,7 +131,7 @@ def test_02_criterion_sharpness_on_randomized_families():
             checks.append((finite, f"family {i}: slice not finite at |t|=2"))
         else:
             failed += 1
-            rep = detect_blowup(data, unit)
+            rep = sol.blowup
             checks.append(
                 (abs(rep.t0) <= rep.window + 1e-8,
                  f"family {i}: touch at {rep.t0} outside window {rep.window}"),

@@ -1,9 +1,12 @@
 """Exact null-equation solver: slices, blow-up localization, bounds, decay."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavecrit import (
     AdmissibilityError,
@@ -19,7 +22,11 @@ from wavecrit import (
     push_forward,
     wave_energy,
 )
+from wavecrit import nullwave
 from wavecrit.nullwave import (
+    _cone_mins,
+    _cone_rows,
+    _first_touch,
     asymptotic_profile,
     conserved_energy_quadratic,
     detect_blowup,
@@ -142,17 +149,223 @@ class TestDetectBlowup:
         assert math.isnan(report.log_rate_fit[1])
 
 
+# -- the row-by-row cone scan, kept as the oracle of the blocked scan --------
+
+
+def _reference_refine_min(rs, vals, slack, t):
+    i = int(np.argmin(vals))
+    best_r, best_v = float(rs[i]), float(vals[i])
+    if 0 < i < len(rs) - 1:
+        c2, c1, _ = np.polyfit(rs[i - 1 : i + 2] - rs[i], vals[i - 1 : i + 2], 2)
+        if c2 > 0.0:
+            vertex = rs[i] + float(np.clip(-c1 / (2.0 * c2), rs[i - 1] - rs[i], rs[i + 1] - rs[i]))
+            v = float(slack(np.array([vertex]), t)[0])
+            if v < best_v:
+                best_r, best_v = vertex, v
+    return best_v, best_r
+
+
+def _reference_cone_row(nodes, r0, t):
+    edge = r0 - abs(t)
+    if edge <= 0.0:
+        return np.array([0.0])
+    rs = np.append(nodes[nodes < edge], edge)
+    return np.linspace(0.0, edge, 33) if rs.size < 9 else rs
+
+
+def _reference_cone_min(slack, nodes, r0, t):
+    rs = _reference_cone_row(nodes, r0, t)
+    return _reference_refine_min(rs, slack(rs, t), slack, t)
+
+
+def _reference_first_touch(slack, nodes, r0, scan=1024, tol=1e-10):
+    m, loc = _reference_cone_min(slack, nodes, r0, 0.0)
+    if m <= 0.0:
+        return 0.0, loc
+    lo = 0.0
+    hi = hi_loc = None
+    for t in np.linspace(0.0, r0, scan + 1)[1:]:
+        m, loc = _reference_cone_min(slack, nodes, r0, t)
+        if m <= 0.0:
+            hi, hi_loc = float(t), loc
+            break
+        lo = float(t)
+    if hi is None:
+        raise WitnessError("no boundary touch inside the cone", window=float(r0))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        m, loc = _reference_cone_min(slack, nodes, r0, mid)
+        if m <= 0.0:
+            hi, hi_loc = mid, loc
+        else:
+            lo = mid
+    return hi, hi_loc
+
+
+def _assert_scan_matches_reference(slack, nodes, r0):
+    """Rows, node minima and refined minima of the blocked scan against the
+    row-by-row oracle at every scan time."""
+    ts = np.linspace(0.0, r0, 1025)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs, lengths = _cone_rows(nodes, r0, ts)
+        vals = slack(rs, ts[:, None])
+        mins, _ = _cone_mins(slack, nodes, r0, ts)
+    for j, t in enumerate(ts):
+        row = _reference_cone_row(nodes, r0, t)
+        row_vals = slack(row, t)
+        assert lengths[j] == row.size
+        assert np.array_equal(rs[j, : row.size], row)
+        assert np.array_equal(vals[j, : row.size], row_vals)
+        ref, _ = _reference_refine_min(row, row_vals, slack, t)
+        assert abs(mins[j] - ref) <= 1e-14 * float(np.max(np.abs(row_vals)))
+
+
+def _touch_or_error(find, *args):
+    try:
+        return find(*args)
+    except WitnessError:
+        return None
+
+
+class TestConeScan:
+    def test_refine_quiet_when_edge_within_an_ulp_of_a_node(self):
+        # 161 nodes on [0, 8], r0 = 1.1, t = 0.75: the edge lies 5.55e-17
+        # beyond node 7, which holds the minimum
+        nodes = np.linspace(0.0, 8.0, 161)
+        r0, t = 1.1, 0.75
+        gap = (r0 - t) - nodes[7]
+        assert 0.0 < gap <= np.spacing(nodes[7])
+
+        def slack(rs, ts):
+            return (rs - nodes[7]) ** 2 + 0.25
+
+        with pytest.warns(np.exceptions.RankWarning):
+            _reference_cone_min(slack, nodes, r0, t)
+        rs, lengths = _cone_rows(nodes, r0, np.array([t]))
+        assert rs[0, lengths[0] - 2] == nodes[7]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, _ = _cone_mins(slack, nodes, r0, np.array([t]))
+        assert m[0] <= np.min(slack(rs[0, : lengths[0]], t))
+
+    # the oracle's polyfit warns on near-degenerate rows; the blocked scan
+    # runs with every warning raised
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.RankWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(161, 1601),
+        k=st.integers(0, 160),
+        mode=st.sampled_from(["free", "at_zero", "last_row", "never"]),
+        level=st.floats(-0.2, 1.5),
+        drop=st.floats(0.01, 1.5),
+        curve=st.floats(0.0, 4.0),
+        centre=st.floats(0.0, 1.0),
+        wiggle=st.floats(0.0, 0.3),
+        freq=st.floats(0.5, 20.0),
+        block=st.one_of(st.just(1), st.integers(2, 1 << 15)),
+    )
+    def test_first_touch_matches_reference_on_model_slack(
+        self, n, k, mode, level, drop, curve, centre, wiggle, freq, block
+    ):
+        # slack = level - drop·t/r0 + curve·(r - rc)² + wiggle·(1 - cos(freq (r - t))):
+        # minima inside the cone that move with t; "at_zero" touches at t = 0,
+        # "last_row" only at t = r0 (edge 0), "never" not at all; small k
+        # gives cones of fewer than 9 nodes and k = 0 the origin alone
+        nodes = np.linspace(0.0, 8.0, n)
+        r0 = float(nodes[k])
+        rc = centre * r0
+        if mode == "at_zero":
+            level = -abs(level)
+        elif mode == "last_row":
+            level, rc, wiggle = drop, 0.0, 0.0
+        elif mode == "never":
+            level = drop + 0.1
+
+        def slack(rs, ts):
+            frac = ts / r0 if r0 > 0.0 else 0.0 * ts
+            bump = curve * (rs - rc) ** 2 + wiggle * (1.0 - np.cos(freq * (rs - ts)))
+            return level - drop * frac + bump
+
+        ref = _touch_or_error(_reference_first_touch, slack, nodes, r0)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp.setattr(nullwave, "_SCAN_POINTS", block)
+            got = _touch_or_error(_first_touch, slack, nodes, r0)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert abs(got[0] - ref[0]) <= 1e-10
+        _assert_scan_matches_reference(slack, nodes, r0)
+
+
+def _failing_data(n, weight, kappa, amp, center, width, pulse, pulse_center):
+    """Deep well (const, f > 0), bump (const, f < 0) or either (linear),
+    optionally with a velocity pulse that picks one time direction."""
+    grid = RadialGrid.uniform(8.0, n)
+    sign = {"const+": -1.0, "const-": 1.0, "linear": math.copysign(1.0, amp)}[weight]
+    data = pair(
+        lambda r: sign * abs(amp) / kappa * np.exp(-(((r - center) / width) ** 2)),
+        lambda r: pulse / kappa * np.exp(-(((r - pulse_center) / 0.7) ** 2)),
+        grid,
+    )
+    param = -kappa if weight == "const-" else kappa
+    return data, build_profile(builtin_nonlinearity(weight.rstrip("+-"), param))
+
+
+class TestBlowupMatchesReferenceScan:
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.RankWarning")
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(161, 1601),
+        weight=st.sampled_from(["const+", "const-", "linear"]),
+        kappa=st.floats(0.8, 1.25),
+        amp=st.floats(-2.2, 2.2),
+        center=st.floats(0.0, 2.0),
+        width=st.floats(0.6, 1.4),
+        pulse=st.sampled_from([0.0, -2.0, 2.0]),
+        pulse_center=st.floats(1.5, 3.0),
+        block=st.one_of(st.just(1), st.integers(2, 1 << 15)),
+    )
+    def test_detect_blowup_matches_reference(
+        self, n, weight, kappa, amp, center, width, pulse, pulse_center, block
+    ):
+        data, profile = _failing_data(n, weight, kappa, amp, center, width, pulse, pulse_center)
+        scans = []
+
+        def spy(slack, nodes, r0):
+            scans.append((slack, nodes, r0))
+            return _first_touch(slack, nodes, r0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nullwave, "_SCAN_POINTS", block)
+            mp.setattr(nullwave, "_first_touch", spy)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _touch_or_error(detect_blowup, data, profile, False)
+            mp.setattr(nullwave, "_first_touch", _reference_first_touch)
+            ref = _touch_or_error(detect_blowup, data, profile, False)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert abs(got.t0 - ref.t0) <= 1e-10
+            assert (got.window, got.side) == (ref.window, ref.side)
+        for slack, nodes, r0 in scans:
+            _assert_scan_matches_reference(slack, nodes, r0)
+
+
 class TestNullSolution:
     def test_global_validity(self, unit):
         sol = null_solution(passing_data(), unit)
         assert sol.validity == "global"
         assert sol.first_zero is None
+        assert sol.blowup is None
 
     def test_cone_limited_records_touch(self, unit):
         sol = null_solution(gaussian_well(1.5), unit)
         assert sol.validity == "cone-limited"
         report = detect_blowup(gaussian_well(1.5), unit, fit_rate=False)
         assert sol.first_zero[0] == pytest.approx(report.t0, abs=1e-12)
+        assert sol.first_zero == (sol.blowup.t0, sol.blowup.x0_radius)
+        assert (sol.blowup.window, sol.blowup.side) == (report.window, report.side)
 
     def test_v_range_before_touch(self, unit):
         sol = null_solution(gaussian_well(1.5), unit)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from wavecrit import (
+    ExtentError,
     Field3D,
     GridError,
     KatoClassError,
@@ -265,6 +266,20 @@ class TestKatoNorm:
         np.testing.assert_allclose(res.value, 2 * np.pi, rtol=0.05)
         h = 12.0 / 40
         assert np.linalg.norm(res.center - c) <= np.sqrt(3.0) * h
+
+    def test_cube_too_small_for_field_is_extent_error(self):
+        # exp(-|x|²) is in the Kato class (norm 2π); a cube of half-side 1
+        # cuts it off, so the outer shells grow and the cube says so
+        f3 = Field3D(
+            fn=lambda p: np.exp(-np.sum(np.atleast_2d(p) ** 2, axis=1)),
+            support_radius=1.0,
+        )
+        with pytest.raises(ExtentError) as info:
+            kato_norm(f3, n_side=41)
+        masses = info.value.shell_masses
+        assert masses.shape == (5,)
+        assert masses[-1] > masses[-2] > masses[-3] > 0.0
+        assert info.value.support_radius == 1.0
 
     @pytest.mark.parametrize("bad,cell", [
         (np.inf, (0.0, 0.0, 0.0)),
