@@ -7,10 +7,17 @@ condition at r = 0.  Splitting U into travelling profiles
     U_plus  = (U₀ - r u₁) / 2      (argument r - t, moves outward)
     U_minus = (U₀ + r u₁) / 2      (argument r + t, moves inward)
 
-turns time evolution into exact argument shifts; reflection through the
-origin exchanges the two profiles.  FreePropagator interpolates the
-profiles once with cubic splines and then evaluates u, u_t, u_r, and the
-shell at arbitrary (r, t) with no further discretization error.
+gives d'Alembert's form of the displacement w = r u,
+
+    w(r, t) = Ψ_out(r - t) + Ψ_in(r + t),
+
+where Ψ_out is the primitive of U_plus on y ≥ 0 and, for y < 0, the odd
+mirror of the primitive of U_minus: the inward wave after it has passed
+through the origin.  Ψ_in is the same with the profiles swapped.
+FreePropagator interpolates the profiles once with cubic splines and stores
+each Ψ as one piecewise polynomial on the whole line; u, u_t, u_r and the
+shell at arbitrary (r, t) are then Ψ and its first two derivatives at r ∓ t,
+with no further discretization error.
 
 Two sign conventions for "outgoing" data coexist in the wild.  Here
 `orientation="expanding"` means u₁ = -((u₀)_r + u₀/r), the choice for
@@ -27,7 +34,7 @@ from typing import Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import ExtentError
 from .radial import _GL_NODES, _GL_WEIGHTS, Field3D, RadialField, RadialGrid
@@ -176,81 +183,71 @@ class TruncationInfo:
     max_argument: float
 
 
-class _HalfProfile:
-    """One split profile on y ≥ 0: value, primitive and slope from cubic
-    splines on [0, ρ], frozen at the boundary value beyond ρ (primitive
-    continued linearly, slope zero)."""
-
-    def __init__(self, nodes: NDArray, values: NDArray):
-        self.rho = float(nodes[-1])
-        self.value = CubicSpline(nodes, values)
-        self.primitive = self.value.antiderivative()
-        self.slope = self.value.derivative()
-        self.end = float(values[-1])
-        self.primitive_end = float(self.primitive(self.rho))
-
-    def __call__(self, y: NDArray, kind: str) -> NDArray:
-        inside = y <= self.rho
-        x = np.minimum(y, self.rho)
-        if kind == "value":
-            return np.where(inside, self.value(x), self.end)
-        if kind == "primitive":
-            beyond = self.primitive_end + (y - self.rho) * self.end
-            return np.where(inside, self.primitive(x), beyond)
-        return np.where(inside, self.slope(x), 0.0)
+def _half_lines(nodes: NDArray, values: NDArray):
+    """pp coefficients (behind, ahead) of a profile's primitive: the odd
+    mirror y ↦ -P(-y) on [-2ρ, 0] and P, the primitive of the profile's
+    cubic spline, on [0, 2ρ].  Beyond ±ρ a straight piece freezes the
+    profile at values[-1]."""
+    rho = float(nodes[-1])
+    P = CubicSpline(nodes, values).antiderivative()
+    # mirrored piece on [-x_{i+1}, -x_i]: q(s) = -p_i(h_i - s), re-expanded
+    # by a Taylor shift of p_i to h_i (Horner), then s ↦ -s
+    h = np.diff(nodes)
+    a = P.c[::-1].copy()  # a[k] multiplies s^k
+    deg = a.shape[0] - 1
+    for i in range(deg):
+        for k in range(deg - 1, i - 1, -1):
+            a[k] += h * a[k + 1]
+    a *= -((-1.0) ** np.arange(deg + 1))[:, None]
+    # straight end pieces on [-2ρ, -ρ] and [ρ, 2ρ]: slope, value at the left
+    end = float(P(rho))
+    left, right = np.zeros((2, deg + 1, 1))
+    left[-2:, 0] = values[-1], -end - rho * values[-1]
+    right[-2:, 0] = values[-1], end
+    return np.hstack([left, a[::-1, ::-1]]), np.hstack([P.c, right])
 
 
 class FreePropagator:
     """Evaluates the free radial wave at arbitrary (r, t) by exact shifts.
 
-    Built once from split profiles: cubic splines of U_plus/U_minus, their
-    antiderivatives for the displacement w = ru, and their derivatives for
-    slopes.  Beyond the grid the profiles are frozen at the boundary value
-    (antiderivatives continued linearly); truncation() reports when that
-    extension is reachable.
+    The displacement is w(r, t) = r u(r, t) = Ψ_out(r - t) + Ψ_in(r + t),
+    each Ψ one piecewise polynomial on the whole line: Ψ_out is the
+    primitive of U_plus for y ≥ 0 and the odd mirror of the primitive of
+    U_minus for y < 0 (the inward wave after reflection through the origin),
+    Ψ_in the same with the profiles swapped.  Every state value is one
+    expression in Ψ_out, Ψ_in or their first two derivatives.  Beyond the
+    grid the profiles are frozen at their boundary values (Ψ continued
+    linearly); truncation() reports when that extension is reachable.
     """
 
     def __init__(self, source: Union[CauchyData, DalembertPair]):
         pair = dalembert_split(source) if isinstance(source, CauchyData) else source
-        self.pair = pair
         self.grid = pair.grid
         r = self.grid.nodes
         self._rho = float(r[-1])
-        self._plus = _HalfProfile(r, pair.plus.values)
-        self._minus = _HalfProfile(r, pair.minus.values)
-
-    @staticmethod
-    def _reflected(y, front: _HalfProfile, back: _HalfProfile, kind: str = "value"):
-        """A travelling profile on y ∈ ℝ: front(y) for y ≥ 0 and back(|y|)
-        through the origin reflection, odd-reflected for the primitive and
-        the slope.  The outward profile is (plus, minus), the inward one
-        (minus, plus)."""
-        y = np.asarray(y, dtype=float)
-        a = np.abs(y)
-        behind = back(a, kind)
-        if kind != "value":
-            behind = -behind
-        return np.where(y >= 0, front(a, kind), behind)
+        # a breakpoint belongs to the piece on its right, so Ψ'(0) is the
+        # front profile's value (the convention for pole velocities)
+        x = np.concatenate([[-2 * self._rho], -r[:0:-1], r, [2 * self._rho]])
+        plus_behind, plus_ahead = _half_lines(r, pair.plus.values)
+        minus_behind, minus_ahead = _half_lines(r, pair.minus.values)
+        self._psi_out = PPoly(np.hstack([minus_behind, plus_ahead]), x)
+        self._psi_in = PPoly(np.hstack([plus_behind, minus_ahead]), x)
 
     # -- state evaluation --------------------------------------------------
 
     def displacement(self, r, t: float):
         """w(r, t) = r u(r, t)."""
         r = np.asarray(r, dtype=float)
-        p, m = self._plus, self._minus
-        outward = self._reflected(r - t, p, m, "primitive")
-        return outward + self._reflected(r + t, m, p, "primitive")
+        return self._psi_out(r - t) + self._psi_in(r + t)
 
     def displacement_t(self, r, t: float):
         r = np.asarray(r, dtype=float)
-        p, m = self._plus, self._minus
-        return -self._reflected(r - t, p, m) + self._reflected(r + t, m, p)
+        return -self._psi_out(r - t, 1) + self._psi_in(r + t, 1)
 
     def shell(self, r, t: float):
         """U(r, t) = ∂_r w = T(u(·, t))."""
         r = np.asarray(r, dtype=float)
-        p, m = self._plus, self._minus
-        return self._reflected(r - t, p, m) + self._reflected(r + t, m, p)
+        return self._psi_out(r - t, 1) + self._psi_in(r + t, 1)
 
     def at(self, r, t):
         """u(r, t), broadcasting r against t; the origin value is the shell
@@ -261,17 +258,16 @@ class FreePropagator:
         return out if out.ndim else float(out)
 
     def origin(self, ts):
-        """u(0, t) = 2 U_minus(|t|) for t ≥ 0, 2 U_plus(|t|) for t ≤ 0."""
+        """u(0, t) = Ψ_out'(-t) + Ψ_in'(t): 2 U_minus(|t|) for t ≥ 0,
+        2 U_plus(|t|) for t ≤ 0."""
         ts = np.asarray(ts, dtype=float)
-        p, m = self._plus, self._minus
-        out = self._reflected(-ts, p, m) + self._reflected(ts, m, p)
+        out = self._psi_out(-ts, 1) + self._psi_in(ts, 1)
         return out if out.ndim else float(out)
 
     def origin_t(self, ts):
         """u_t(0, t) by the exact slope formula ∂_r w_t(0, t)."""
         ts = np.asarray(ts, dtype=float)
-        p, m = self._plus, self._minus
-        out = -self._reflected(-ts, p, m, "slope") + self._reflected(ts, m, p, "slope")
+        out = -self._psi_out(-ts, 2) + self._psi_in(ts, 2)
         return out if out.ndim else float(out)
 
     def trusted_radius(self, t: float) -> float:
@@ -291,7 +287,7 @@ class FreePropagator:
     def field_t(self, t: float) -> RadialField:
         r = self.grid.nodes
         wt = self.displacement_t(r, t)
-        if wt[0] != 0.0:  # only at t = 0, for a velocity with a 1/r pole
+        if t == 0.0 and wt[0] != 0.0:  # the 1/r pole of the initial velocity
             return RadialField.from_moment(self.grid, wt)
         vals = np.empty_like(wt)
         vals[1:] = wt[1:] / r[1:]
@@ -310,7 +306,7 @@ class FreePropagator:
         return CauchyData(self.field(t), self.field_t(t))
 
     def energy(self, t: float = 0.0, samples: int = 0) -> float:
-        """4π ∫ (u_t² + u_r²) r² dr at time t, from the splines directly.
+        """4π ∫ (u_t² + u_r²) r² dr at time t, from the profiles directly.
 
         Integrates w_t² + (w_r - w/r)² on a dense uniform grid, so the only
         drift across t is quadrature error, not differencing error.
@@ -349,9 +345,8 @@ def time_translate_split(pair: DalembertPair, t0: float) -> DalembertPair:
             f"insufficient grid extent: |t0| = {abs(t0):g} exceeds r_max = {pair.grid.r_max:g}"
         )
     r = pair.grid.nodes
-    p, m = prop._plus, prop._minus
-    plus = RadialField(pair.grid, prop._reflected(r - t0, p, m), parity="none")
-    minus = RadialField(pair.grid, prop._reflected(r + t0, m, p), parity="none")
+    plus = RadialField(pair.grid, prop._psi_out(r - t0, 1), parity="none")
+    minus = RadialField(pair.grid, prop._psi_in(r + t0, 1), parity="none")
     return DalembertPair(plus, minus)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     GridError,
     WitnessError,
 )
-from .freewave import CauchyData, DalembertPair, FreePropagator, dalembert_split
+from .freewave import CauchyData, FreePropagator, dalembert_split
 from .radial import RadialField, differentiate, line_integral
 from .transforms import NonlinearityProfile, push_forward
 
@@ -195,13 +195,14 @@ def _first_touch(slack, nodes, r0: float, scan: int = 1024, tol: float = 1e-10):
     return hi, hi_loc
 
 
-def _log_rate_fit(slack, profile, side, sign, t0, r1):
-    """Least-squares (C, slope) of sup|u| near the touch vs |ln(t0 - t)|."""
+def _log_rate_fit(slack, profile, side, t0, r1):
+    """Least-squares (C, slope) of sup|u| near the touch vs |ln(t0 - t)|;
+    slack is already signed for the time direction and t0 = |t0|."""
     tau_hi = min(0.1, 0.9 * t0) if t0 > 0 else 0.0
     if tau_hi <= 1e-5:
         return (math.nan, math.nan)
     taus = np.geomspace(1e-5, tau_hi, 17)
-    ts = sign * (t0 - taus)
+    ts = t0 - taus
     rs = np.broadcast_to(np.linspace(max(0.0, r1 - 0.5), r1 + 0.5, 201), (taus.size, 201))
     s_min, _ = _refine_rows(slack, ts, rs, slack(rs, ts[:, None]), np.full(taus.size, 201))
     keep = s_min > 0.0
@@ -258,7 +259,7 @@ def detect_blowup(
     if fit_rate:
         slack = _level_slack(prop, side, a, b)
         signed = lambda rs, t, s=sign, f=slack: f(rs, s * t)
-        rate = _log_rate_fit(signed, profile, side, sign, t_abs, r1)
+        rate = _log_rate_fit(signed, profile, side, t_abs, r1)
     return BlowupReport(
         t0=sign * t_abs, x0_radius=r1, window=r0, log_rate_fit=rate, side=side
     )
@@ -278,7 +279,6 @@ class NullSolution:
     """
 
     profile: NonlinearityProfile
-    v_split: DalembertPair
     validity: str
     data: CauchyData
     propagator: FreePropagator
@@ -305,7 +305,6 @@ class NullSolution:
 
 def null_solution(data: CauchyData, profile: NonlinearityProfile) -> NullSolution:
     verdict = quadratic_global_condition(data, profile)
-    split = dalembert_split(push_forward(data, profile))
     first_zero = report = None
     if verdict.holds:
         validity = "global"
@@ -315,10 +314,9 @@ def null_solution(data: CauchyData, profile: NonlinearityProfile) -> NullSolutio
         first_zero = (report.t0, report.x0_radius)
     return NullSolution(
         profile=profile,
-        v_split=split,
         validity=validity,
         data=data,
-        propagator=FreePropagator(split),
+        propagator=FreePropagator(push_forward(data, profile)),
         verdict=verdict,
         first_zero=first_zero,
         blowup=report,

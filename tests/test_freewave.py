@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -300,6 +301,142 @@ class TestTimeTranslate:
         np.testing.assert_allclose(
             twice.plus.values[keep], once.plus.values[keep], atol=1e-6
         )
+
+
+class _HalfProfile:
+    """Reference evaluation (the former propagator): one split profile on
+    y ≥ 0 from cubic splines on [0, ρ] (value, primitive, slope), frozen at
+    the boundary value beyond ρ."""
+
+    def __init__(self, nodes, values):
+        self.rho = float(nodes[-1])
+        self.value = CubicSpline(nodes, values)
+        self.primitive = self.value.antiderivative()
+        self.slope = self.value.derivative()
+        self.end = float(values[-1])
+        self.primitive_end = float(self.primitive(self.rho))
+
+    def __call__(self, y, kind):
+        inside = y <= self.rho
+        x = np.minimum(y, self.rho)
+        if kind == "value":
+            return np.where(inside, self.value(x), self.end)
+        if kind == "primitive":
+            beyond = self.primitive_end + (y - self.rho) * self.end
+            return np.where(inside, self.primitive(x), beyond)
+        return np.where(inside, self.slope(x), 0.0)
+
+
+def _reflected(y, front, back, kind="value"):
+    """front(y) for y ≥ 0, back(|y|) through the origin for y < 0, odd for
+    the primitive and the slope."""
+    y = np.asarray(y, dtype=float)
+    a = np.abs(y)
+    behind = back(a, kind)
+    if kind != "value":
+        behind = -behind
+    return np.where(y >= 0, front(a, kind), behind)
+
+
+def _reference_evaluators(pair):
+    p = _HalfProfile(pair.grid.nodes, pair.plus.values)
+    m = _HalfProfile(pair.grid.nodes, pair.minus.values)
+    return {
+        "displacement": lambda r, t: _reflected(r - t, p, m, "primitive")
+        + _reflected(r + t, m, p, "primitive"),
+        "displacement_t": lambda r, t: -_reflected(r - t, p, m) + _reflected(r + t, m, p),
+        "shell": lambda r, t: _reflected(r - t, p, m) + _reflected(r + t, m, p),
+        "origin": lambda ts: _reflected(-ts, p, m) + _reflected(ts, m, p),
+        "origin_t": lambda ts: -_reflected(-ts, p, m, "slope")
+        + _reflected(ts, m, p, "slope"),
+    }
+
+
+def _random_data(n, r_max, kind, a, b, c, width, graded=False):
+    g = RadialGrid.graded(r_max, n, 2.0) if graded else RadialGrid.uniform(r_max, n)
+    u0 = RadialField.from_callable(
+        g, lambda r: a * np.exp(-(((r - c) / width) ** 2)) + b / (1 + r**2)
+    )
+    if kind == "regular":
+        u1 = RadialField.from_callable(g, lambda r: b * np.exp(-((r - a) ** 2)))
+    else:  # a 1/r pole whenever u0(0) != 0
+        u1 = outgoing_velocity(u0, kind)
+    return CauchyData(u0, u1)
+
+
+class TestLinePrimitives:
+    """Ψ_out and Ψ_in against the half-line reference evaluation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(161, 1601),
+        r_max=st.floats(2.0, 12.0),
+        kind=st.sampled_from(["regular", "expanding", "collapsing"]),
+        a=st.floats(-2.0, 2.0),
+        b=st.floats(-2.0, 2.0),
+        c=st.floats(0.0, 4.0),
+        width=st.floats(0.3, 2.0),
+        graded=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_half_line_reference(self, n, r_max, kind, a, b, c, width, graded, seed):
+        data = _random_data(n, r_max, kind, a, b, c, width, graded)
+        prop = FreePropagator(data)
+        ref = _reference_evaluators(dalembert_split(data))
+        rho = data.grid.r_max
+        rng = np.random.default_rng(seed)
+        # nodes, zero and random radii; r ± t reaches beyond ±2ρ, where the
+        # straight end pieces are extrapolated
+        r = np.concatenate([[0.0], data.grid.nodes[:: max(1, n // 50)],
+                            rng.uniform(0.0, 1.5 * rho, 200)])
+        ts = np.concatenate([[0.0, rho, -rho, 0.5 * rho, 2.5 * rho, -2.5 * rho],
+                             rng.uniform(-1.5 * rho, 1.5 * rho, 8)])
+        R, T = r[None, :], ts[:, None]
+        for name in ("displacement", "displacement_t", "shell"):
+            got, want = getattr(prop, name)(R, T), ref[name](R, T)
+            scale = float(np.max(np.abs(want))) or 1.0
+            assert np.max(np.abs(got - want)) <= 2e-15 * scale, name
+        w, w_ref = prop.displacement(R, T), ref["displacement"](R, T)
+        ahead = np.broadcast_to(R >= np.abs(T), w.shape)
+        assert np.array_equal(w[ahead], w_ref[ahead])
+        for name in ("origin", "origin_t"):
+            # u_t(0, ·) jumps at |t| = ρ, where the frozen extension starts:
+            # the reference returns the inside limit there, the line
+            # primitives (right-hand pieces at each breakpoint) half of it
+            keep = ts if name == "origin" else ts[np.abs(ts) != rho]
+            got, want = getattr(prop, name)(keep), ref[name](keep)
+            scale = float(np.max(np.abs(want))) or 1.0
+            assert np.max(np.abs(got - want)) <= 2e-15 * scale, name
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(161, 801),
+        kind=st.sampled_from(["regular", "expanding", "collapsing"]),
+        a=st.floats(-2.0, 2.0),
+        b=st.floats(-2.0, 2.0),
+        c=st.floats(0.0, 4.0),
+        t=st.floats(-15.0, 15.0),
+    )
+    def test_time_mirror_is_exact(self, n, kind, a, b, c, t):
+        # (u0, -u1) evolves as (u0, u1) run backwards, bit for bit
+        data = _random_data(n, 8.0, kind, a, b, c, 1.0)
+        u1 = data.u1
+        mirrored = CauchyData(
+            data.u0, RadialField(data.grid, -u1.values, origin_moment=-u1.origin_moment)
+        )
+        r = np.concatenate([data.grid.nodes, np.linspace(0.0, 12.0, 97)])
+        assert np.array_equal(FreePropagator(mirrored).at(r, -t), FreePropagator(data).at(r, t))
+
+    @pytest.mark.parametrize("orientation", ["expanding", "collapsing"])
+    def test_field_t_keeps_origin_slope_off_zero(self, orientation):
+        # the 1/r pole of a pole velocity lives at t = 0 only
+        u0 = RadialField.from_callable(RadialGrid.uniform(8.0, 801), lambda r: np.exp(-(r**2)))
+        prop = FreePropagator(CauchyData(u0, outgoing_velocity(u0, orientation)))
+        for t in (0.5, -0.7, 1.3):
+            ut = prop.field_t(t)
+            assert ut.values[0] == prop.origin_t(t)
+            assert ut.origin_moment == 0.0
+        assert prop.field_t(0.0).origin_moment != 0.0
 
 
 def ball_one() -> Field3D:

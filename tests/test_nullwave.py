@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavecrit import (
@@ -14,6 +14,7 @@ from wavecrit import (
     CeasedSolutionError,
     ExtentError,
     GridError,
+    RadialField,
     RadialGrid,
     WitnessError,
     build_profile,
@@ -350,6 +351,41 @@ class TestBlowupMatchesReferenceScan:
             assert (got.window, got.side) == (ref.window, ref.side)
         for slack, nodes, r0 in scans:
             _assert_scan_matches_reference(slack, nodes, r0)
+
+
+class TestTimeReversal:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(161, 1601),
+        weight=st.sampled_from(["const+", "const-", "linear"]),
+        kappa=st.floats(0.8, 1.25),
+        amp=st.floats(-2.2, 2.2),
+        center=st.floats(0.0, 2.0),
+        width=st.floats(0.6, 1.4),
+        pulse=st.sampled_from([0.0, -2.0, 2.0]),
+        pulse_center=st.floats(1.5, 3.0),
+    )
+    # u0 = 0 with a velocity pulse: the rate fit once ran on the wrong time side
+    @example(n=801, weight="const+", kappa=1.0, amp=0.0, center=0.0, width=1.0,
+             pulse=2.0, pulse_center=2.0)
+    def test_reversed_velocity_mirrors_the_report(
+        self, n, weight, kappa, amp, center, width, pulse, pulse_center
+    ):
+        # (u0, -u1) is (u0, u1) run backwards: the touch moves to -t0 and
+        # every other field of the report stays, NaN rate fits included;
+        # on a tie between the directions both give +|t0|
+        data, profile = _failing_data(n, weight, kappa, amp, center, width, pulse, pulse_center)
+        mirrored = CauchyData(data.u0, RadialField(data.grid, -data.u1.values))
+        fwd = _touch_or_error(detect_blowup, data, profile)
+        bwd = _touch_or_error(detect_blowup, mirrored, profile)
+        assert (fwd is None) == (bwd is None)
+        if fwd is None:
+            return
+        if fwd.t0 == bwd.t0 and fwd.t0 >= 0.0:
+            return
+        assert bwd.t0 == -fwd.t0
+        assert (bwd.x0_radius, bwd.window, bwd.side) == (fwd.x0_radius, fwd.window, fwd.side)
+        np.testing.assert_array_equal(bwd.log_rate_fit, fwd.log_rate_fit)
 
 
 class TestNullSolution:
