@@ -12,6 +12,7 @@ stderr).
 """
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -192,21 +193,37 @@ def build_data(scenario: dict) -> CauchyData:
     )
 
 
-def _weight(eq: dict):
+def _weight_spec(eq: dict) -> Tuple[str, Optional[float]]:
+    """(name, param) of a null-form weight; sin and neg_arctan take none."""
     name = eq["f"]
+    if name in ("sin", "neg_arctan"):
+        return name, None
     try:
-        if name in ("sin", "neg_arctan"):
-            return builtin_nonlinearity(name)
-        return builtin_nonlinearity(name, float(eq["param"]))
+        return name, float(eq["param"])
     except KeyError as exc:
         raise ConfigError(str(exc))
+
+
+def _weight(name: str, param: Optional[float]):
+    args = (name,) if param is None else (name, param)
+    try:
+        return builtin_nonlinearity(*args)
+    except KeyError as exc:
+        raise ConfigError(str(exc))
+
+
+@functools.lru_cache(maxsize=1)
+def _weight_profile(name: str, param: Optional[float]):
+    # profiles are immutable, so the actions on one weight spec share one;
+    # a single entry, because each profile holds ~0.8 MB of tables
+    return build_profile(_weight(name, param))
 
 
 def _profile(scenario: dict):
     eq = scenario["equation"]
     if eq["kind"] != "null-form":
         raise ConfigError(f"action needs a null-form equation, got {eq['kind']!r}")
-    return build_profile(_weight(eq))
+    return _weight_profile(*_weight_spec(eq))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +315,7 @@ def _act_iterate(scenario: dict, series: dict) -> dict:
 def _act_oracle(scenario: dict, series: dict) -> dict:
     eq = scenario["equation"]
     if eq["kind"] == "null-form":
-        rhs = ("null", _weight(eq))
+        rhs = ("null", _weight(*_weight_spec(eq)))
     elif eq["kind"] == "focusing":
         rhs = ("power", float(eq["N"]), int(eq["sign"]))
     else:

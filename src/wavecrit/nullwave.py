@@ -24,7 +24,7 @@ from .errors import (
     GridError,
     WitnessError,
 )
-from .freewave import CauchyData, FreePropagator, dalembert_split
+from .freewave import CauchyData, DalembertPair, FreePropagator, dalembert_split
 from .radial import RadialField, differentiate, line_integral
 from .transforms import NonlinearityProfile, push_forward
 
@@ -227,11 +227,16 @@ def detect_blowup(
     several combinations fail the earliest |t0| wins, positive direction on a
     tie.
     """
-    vdata = push_forward(data, profile)
-    pair = dalembert_split(vdata)
-    prop = FreePropagator(pair)
+    pair = dalembert_split(push_forward(data, profile))
+    return _locate_blowup(pair, FreePropagator(pair), profile, fit_rate)
+
+
+def _locate_blowup(
+    pair: DalembertPair, prop: FreePropagator, profile: NonlinearityProfile, fit_rate: bool
+) -> BlowupReport:
+    """detect_blowup given the split pushed data and their propagator."""
     a, b = profile.a, profile.b
-    r = data.grid.nodes
+    r = pair.grid.nodes
 
     candidates = []
     for sign, mover in ((-1, pair.plus.values), (+1, pair.minus.values)):
@@ -293,30 +298,39 @@ class NullSolution:
         return _invert_slice(self.propagator.field(t), self.profile)
 
     def u_t(self, t: float) -> RadialField:
-        u = self.u(t)
-        vals = self.propagator.field_t(t).values / self.profile.F_prime(u.values)
-        return RadialField(u.grid, vals)
+        return self._jet(t)[1]
 
     def u_r(self, t: float) -> RadialField:
+        return self._jet(t)[2]
+
+    def _jet(self, t: float) -> Tuple[RadialField, RadialField, RadialField]:
+        """(u, u_t, u_r) at time t from one slice inversion: v_t and v_r
+        over F'(u)."""
         u = self.u(t)
-        vals = self.propagator.field_r(t).values / self.profile.F_prime(u.values)
-        return RadialField(u.grid, vals, parity="odd")
+        slope = self.profile.F_prime(u.values)
+        return (
+            u,
+            RadialField(u.grid, self.propagator.field_t(t).values / slope),
+            RadialField(u.grid, self.propagator.field_r(t).values / slope, parity="odd"),
+        )
 
 
 def null_solution(data: CauchyData, profile: NonlinearityProfile) -> NullSolution:
     verdict = quadratic_global_condition(data, profile)
+    pair = dalembert_split(push_forward(data, profile))
+    prop = FreePropagator(pair)
     first_zero = report = None
     if verdict.holds:
         validity = "global"
     else:
         validity = "cone-limited"
-        report = detect_blowup(data, profile, fit_rate=False)
+        report = _locate_blowup(pair, prop, profile, fit_rate=False)
         first_zero = (report.t0, report.x0_radius)
     return NullSolution(
         profile=profile,
         validity=validity,
         data=data,
-        propagator=FreePropagator(push_forward(data, profile)),
+        propagator=prop,
         verdict=verdict,
         first_zero=first_zero,
         blowup=report,
@@ -376,9 +390,8 @@ def verify_pointwise_bounds(
     checked = 0
     for t in probes:
         t = float(t)
-        u = sol.u(t).values
-        ur = sol.u_r(t).values[1:]
-        ut = np.abs(sol.u_t(t).values[1:])
+        u, u_t, u_r = (s.values for s in sol._jet(t))
+        ur, ut = u_r[1:], np.abs(u_t[1:])
         checked += u.size + 2 * ur.size
         for i in np.nonzero((u < lower - tol) | (u > upper + tol))[0]:
             violations.append((t, float(r[i]), "range", float(u[i])))
@@ -434,9 +447,9 @@ def dispersion_metrics(sol: NullSolution, probes: Optional[Sequence[float]] = No
     amps = np.empty(probes.size)
     v_energies = np.empty(probes.size)
     for k, t in enumerate(probes):
-        u = sol.u(float(t))
-        flux = r * sol.u_r(float(t)).values
-        mom = r * sol.u_t(float(t)).values
+        u, u_t, u_r = sol._jet(float(t))
+        flux = r * u_r.values
+        mom = r * u_t.values
         energy = line_integral(grid, flux**2 + mom**2, tail="flag")
         sup_state = max(sup_state, math.sqrt(max(energy, 0.0)))
         amps[k] = np.max(np.abs(u.values))

@@ -340,3 +340,19 @@ def test_run_scenario_returns_report(tmp_path):
     code, report = run_scenario(doc, None, tmp_path)
     assert code == 0
     assert report["results"]["holds"] is True
+
+
+def test_actions_share_one_profile_per_weight(tmp_path, monkeypatch):
+    # profiles are immutable, so classify and blowup on one weight spec need
+    # a single build
+    from wavecrit import cli
+
+    builds = []
+    build = cli.build_profile
+    monkeypatch.setattr(cli, "build_profile", lambda f: builds.append(f) or build(f))
+    cli._weight_profile.cache_clear()
+    doc = load_scenario("blowup-gaussian-f1")
+    run_scenario(doc, "classify", tmp_path)
+    assert run_scenario(doc, "blowup", tmp_path)[0] == 0
+    assert len(builds) == 1
+    cli._weight_profile.cache_clear()

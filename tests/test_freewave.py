@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavecrit import (
@@ -379,6 +379,10 @@ class TestLinePrimitives:
         graded=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a subnormal amplitude: the relative tolerance needs a floor at the
+    # smallest normal number
+    @example(n=161, r_max=2.0, kind="regular", a=0.0, b=5e-324, c=0.0, width=1.0,
+             graded=False, seed=0)
     def test_matches_half_line_reference(self, n, r_max, kind, a, b, c, width, graded, seed):
         data = _random_data(n, r_max, kind, a, b, c, width, graded)
         prop = FreePropagator(data)
@@ -394,7 +398,7 @@ class TestLinePrimitives:
         R, T = r[None, :], ts[:, None]
         for name in ("displacement", "displacement_t", "shell"):
             got, want = getattr(prop, name)(R, T), ref[name](R, T)
-            scale = float(np.max(np.abs(want))) or 1.0
+            scale = max(float(np.max(np.abs(want))) or 1.0, np.finfo(float).tiny)
             assert np.max(np.abs(got - want)) <= 2e-15 * scale, name
         w, w_ref = prop.displacement(R, T), ref["displacement"](R, T)
         ahead = np.broadcast_to(R >= np.abs(T), w.shape)
@@ -405,7 +409,7 @@ class TestLinePrimitives:
             # primitives (right-hand pieces at each breakpoint) half of it
             keep = ts if name == "origin" else ts[np.abs(ts) != rho]
             got, want = getattr(prop, name)(keep), ref[name](keep)
-            scale = float(np.max(np.abs(want))) or 1.0
+            scale = max(float(np.max(np.abs(want))) or 1.0, np.finfo(float).tiny)
             assert np.max(np.abs(got - want)) <= 2e-15 * scale, name
 
     @settings(max_examples=25, deadline=None)

@@ -403,6 +403,35 @@ class TestNullSolution:
         assert sol.first_zero == (sol.blowup.t0, sol.blowup.x0_radius)
         assert (sol.blowup.window, sol.blowup.side) == (report.window, report.side)
 
+    def test_pushes_and_propagates_once(self, unit, monkeypatch):
+        # the blow-up report of cone-limited data and the solution itself
+        # share one pushed data set and one propagator
+        calls = {"push_forward": 0, "FreePropagator": 0}
+        push, init = nullwave.push_forward, nullwave.FreePropagator.__init__
+
+        def counted_push(*args):
+            calls["push_forward"] += 1
+            return push(*args)
+
+        def counted_init(self, *args):
+            calls["FreePropagator"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(nullwave, "push_forward", counted_push)
+        monkeypatch.setattr(nullwave.FreePropagator, "__init__", counted_init)
+        sol = null_solution(gaussian_well(1.5), unit)
+        assert sol.validity == "cone-limited"
+        assert calls == {"push_forward": 1, "FreePropagator": 1}
+
+    def test_bounds_invert_each_probe_slice_once(self, unit, monkeypatch):
+        sol = null_solution(passing_data(), unit)
+        calls = []
+        invert = unit.F_inverse
+        monkeypatch.setattr(unit, "F_inverse", lambda v: calls.append(v) or invert(v))
+        verify_pointwise_bounds(sol, [0.2, 0.4])
+        dispersion_metrics(sol, [0.2, 0.4])
+        assert len(calls) == 4
+
     def test_v_range_before_touch(self, unit):
         sol = null_solution(gaussian_well(1.5), unit)
         t0 = sol.first_zero[0]

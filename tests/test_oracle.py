@@ -1,9 +1,12 @@
 """Finite-difference reference solver: accuracy, energy, blow-up brackets."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from wavecrit import (
     CauchyData,
@@ -21,6 +24,15 @@ from wavecrit import (
 )
 from wavecrit.focusing import soliton
 from wavecrit.nullwave import detect_blowup, solve_null
+from wavecrit.oracle import (
+    _ENERGY_BLOCK,
+    FDRun,
+    MAX_CFL,
+    _normalize_rhs,
+    _solve_arrays,
+    _u_of,
+    _u_r,
+)
 
 GRID = RadialGrid.uniform(8.0, 801)
 
@@ -284,3 +296,225 @@ def test_snapshot_sampling_and_write(tmp_path):
     assert len(csvs) == len(run.snapshot_times)
     loaded = np.loadtxt(csvs[0], delimiter=",", skiprows=1)
     assert loaded.shape[1] == 2
+
+
+# ---------------------------------------------------------------------------
+# the leapfrog loop against the per-step loop it replaced
+
+
+def _reference_pair_energy(w_a, w_b, h, k):
+    kinetic = np.sum(((w_b - w_a) / k) ** 2)
+    grad = np.sum(np.diff(w_a) * np.diff(w_b)) / (h * h)
+    return 4.0 * np.pi * h * 0.5 * (kinetic + grad)
+
+
+def _reference_solve_arrays(radii, w0, w1, rhs, horizon, cfl, threshold, snapshot_times):
+    """The leapfrog as one pass per step: every per-step quantity recomputed
+    by each predictor and corrector, one energy per step."""
+    mode, f, exponent, sign = _normalize_rhs(rhs)
+    h = float(radii[1] - radii[0])
+    if not 0.0 < cfl <= MAX_CFL:
+        raise ConfigError("CFL ratio must lie in (0, 0.9]", cfl=cfl)
+    if horizon <= 0:
+        raise ConfigError("horizon must be positive", horizon=horizon)
+    n_steps = max(1, int(np.ceil(horizon / (cfl * h) - 1e-12)))
+    k = horizon / n_steps
+
+    if snapshot_times is None:
+        snapshot_times = np.linspace(0.0, horizon, 9)
+    snap_steps = sorted({int(round(t / k)) for t in np.atleast_1d(snapshot_times)})
+
+    def rhs_w(w, w_t):
+        if mode == "free":
+            return 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = _u_of(w, radii, h)
+            if mode == "power":
+                return sign * np.abs(u) ** exponent * w
+            ut = _u_of(w_t, radii, h)
+            ur = _u_r(u, h)
+            return radii * f(u) * (ut * ut - ur * ur)
+
+    def lap(w):
+        out = np.zeros_like(w)
+        out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
+        return out
+
+    taken_times, taken = [], []
+    if 0 in snap_steps:
+        taken_times.append(0.0)
+        taken.append(_u_of(w0, radii, h))
+
+    w_prev = w0.copy()
+    w_prev[0] = 0.0
+    w_cur = w_prev + k * w1 + 0.5 * k * k * (lap(w_prev) + rhs_w(w_prev, w1))
+    w_cur[0] = 0.0
+    w_cur[-1] = w_prev[-1]
+
+    status, t_detect, step_index = "completed", None, None
+    energy_times = np.empty(n_steps)
+    energy_values = np.empty(n_steps)
+    energy_times[0] = 0.5 * k
+    energy_values[0] = _reference_pair_energy(w_prev, w_cur, h, k)
+    en_count = 1
+    if 1 in snap_steps:
+        taken_times.append(k)
+        taken.append(_u_of(w_cur, radii, h))
+
+    for j in range(1, n_steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_t = (w_cur - w_prev) / k
+            accel = lap(w_cur) + rhs_w(w_cur, w_t)
+            w_next = 2.0 * w_cur - w_prev + k * k * accel
+            if mode == "null":
+                for _ in range(2):
+                    w_t = (w_next - w_prev) / (2.0 * k)
+                    accel = lap(w_cur) + rhs_w(w_cur, w_t)
+                    w_next = 2.0 * w_cur - w_prev + k * k * accel
+        w_next[0] = 0.0
+        w_next[-1] = w_cur[-1]
+
+        t_next = (j + 1) * k
+        if not np.all(np.isfinite(w_next)):
+            status, step_index = "unstable", j + 1
+            break
+        energy_times[j] = (j + 0.5) * k
+        energy_values[j] = _reference_pair_energy(w_cur, w_next, h, k)
+        en_count = j + 1
+        u_next = _u_of(w_next, radii, h)
+        if j + 1 in snap_steps:
+            taken_times.append(t_next)
+            taken.append(u_next)
+        if np.max(np.abs(u_next)) > threshold:
+            status, t_detect = "blew-up", t_next
+            break
+        w_prev, w_cur = w_cur, w_next
+
+    if not taken:
+        taken_times = [0.0]
+        taken = [_u_of(w0, radii, h)]
+    return FDRun(
+        scheme="leapfrog on w = r u",
+        h=h,
+        k=k,
+        radii=radii,
+        snapshot_times=np.asarray(taken_times),
+        snapshots=np.asarray(taken),
+        status=status,
+        horizon=horizon,
+        threshold=threshold,
+        t_detect=t_detect,
+        step_index=step_index,
+        energy_times=energy_times[:en_count],
+        energy_values=energy_values[:en_count],
+    )
+
+
+RHS_MODES = {
+    "free": None,
+    "null-const": ("null", lambda u: np.ones_like(u)),
+    "null-linear": ("null", lambda u: u),
+    "null-sin": ("null", np.sin),
+    "power+1": ("power", 4, 1),
+    "power-1": ("power", 3, -1),
+}
+B = _ENERGY_BLOCK
+
+
+def assert_same_run(got: FDRun, want: FDRun):
+    for fld in dataclasses.fields(FDRun):
+        a, b = getattr(got, fld.name), getattr(want, fld.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), fld.name
+        else:
+            assert a == b, fld.name
+
+
+def _threshold_exiting_at(args, exit_step):
+    """A threshold that stops the run at exit_step, or inf when sup|u| sets
+    no new record there (the threshold is tested from step 2 on)."""
+    radii, w0, w1, rhs, horizon, cfl = args
+    unbounded = _reference_solve_arrays(radii, w0, w1, rhs, horizon, cfl, np.inf,
+                                        horizon * np.arange(1000) / 999)
+    sups = np.max(np.abs(unbounded.snapshots), axis=1)
+    steps = np.rint(unbounded.snapshot_times / unbounded.k).astype(int)
+    at = np.flatnonzero(steps == exit_step)
+    if not at.size or exit_step < 2:
+        return np.inf
+    before = sups[(steps >= 2) & (steps < exit_step)]
+    record = float(np.max(before)) if before.size else 0.0
+    top = float(sups[at[0]])
+    return record + 0.5 * (top - record) if top > record else np.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestBlockedLoop:
+    """Each step's quantities computed once, energies by block of levels:
+    every FDRun field equals the per-step loop's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(41, 801),
+        r_max=st.floats(2.0, 12.0),
+        mode=st.sampled_from(sorted(RHS_MODES)),
+        n_steps=st.one_of(
+            st.sampled_from([1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1]),
+            st.integers(1, 3 * B + 7),
+        ),
+        cfl=st.floats(0.1, MAX_CFL),
+        amp=st.floats(-3.0, 3.0),
+        center=st.floats(0.0, 3.0),
+        width=st.floats(0.4, 1.5),
+        vel=st.floats(-2.0, 2.0),
+        snaps=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), max_size=6)),
+        exit_step=st.one_of(
+            st.none(), st.sampled_from([2, B - 1, B, B + 1, 2 * B]), st.integers(2, 3 * B + 7)
+        ),
+    )
+    def test_matches_per_step_reference(
+        self, n, r_max, mode, n_steps, cfl, amp, center, width, vel, snaps, exit_step
+    ):
+        h = r_max / (n - 1)
+        radii = h * np.arange(n)
+        w0 = radii * amp * np.exp(-(((radii - center) / width) ** 2))
+        w1 = radii * vel * np.exp(-(radii**2))
+        horizon = n_steps * cfl * h
+        args = (radii, w0, w1, RHS_MODES[mode], horizon, cfl)
+        threshold = 1e8 if exit_step is None else _threshold_exiting_at(args, exit_step)
+        times = None if snaps is None else horizon * np.asarray(snaps)
+        want = _reference_solve_arrays(*args, threshold, times)
+        event(f"{want.status}, {min(want.energy_values.size // B, 2)}+ full blocks")
+        assert_same_run(_solve_arrays(*args, threshold, times), want)
+
+    @pytest.mark.parametrize("mode", sorted(RHS_MODES))
+    def test_each_mode_over_several_blocks(self, mode):
+        radii = 0.01 * np.arange(801)
+        args = (radii, radii * 0.3 * np.exp(-((radii - 2.0) ** 2)),
+                radii * -0.1 * np.exp(-(radii**2)), RHS_MODES[mode], 2.0, 0.8, 1e8, None)
+        want = _reference_solve_arrays(*args)
+        assert want.status == "completed" and want.energy_values.size == 250
+        assert_same_run(_solve_arrays(*args), want)
+
+    @pytest.mark.parametrize("exit_step", [B - 1, B, B + 1, 2 * B])
+    def test_blowup_exit_at_a_block_edge(self, exit_step):
+        grid = RadialGrid.uniform(12.0, 241)
+        data = grown_soliton_data(1.2, grid)
+        args = (grid.nodes, grid.nodes * data.u0.values, np.zeros(grid.n),
+                ("power", 4, 1), 2.0, 0.1)
+        threshold = _threshold_exiting_at(args, exit_step)
+        want = _reference_solve_arrays(*args, threshold, [0.0, 1.0])
+        assert want.status == "blew-up" and want.energy_values.size == exit_step
+        assert_same_run(_solve_arrays(*args, threshold, [0.0, 1.0]), want)
+
+    @pytest.mark.parametrize(
+        "amp, cfl, energies",
+        [(1.88, 0.2, B - 1), (1.87, 0.2, B), (1.8621, 0.2, B + 1), (1.86, 0.1, 2 * B)],
+    )
+    def test_unstable_exit_at_a_block_edge(self, amp, cfl, energies):
+        # amplitudes bisected so that u overflows right after that many levels
+        radii = 0.04 * np.arange(201)
+        args = (radii, radii * amp * np.exp(-(radii**2)), np.zeros(201),
+                ("power", 4, 1), 20.0, cfl, np.inf, [0.0, 0.5])
+        want = _reference_solve_arrays(*args)
+        assert want.status == "unstable" and want.energy_values.size == energies
+        assert_same_run(_solve_arrays(*args), want)
