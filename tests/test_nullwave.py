@@ -203,9 +203,19 @@ def _reference_first_touch(slack, nodes, r0, scan=1024, tol=1e-10):
     return hi, hi_loc
 
 
+def _rounding_spread(slack, r, t):
+    """Spread of slack over 21 radii within 1e-12 of r: how far two
+    evaluations at nearly the same point differ by rounding alone.  For the
+    free-wave slack near the origin, u = w/r magnifies the rounding of w."""
+    rs = np.maximum(r + 1e-12 * np.linspace(-1.0, 1.0, 21), 0.0)
+    return float(np.ptp(slack(rs, t)))
+
+
 def _assert_scan_matches_reference(slack, nodes, r0):
     """Rows, node minima and refined minima of the blocked scan against the
-    row-by-row oracle at every scan time."""
+    row-by-row oracle at every scan time.  The two refinements place their
+    parabola vertices by different formulas, so the refined minima may differ
+    by the rounding of slack around the vertex."""
     ts = np.linspace(0.0, r0, 1025)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -218,8 +228,9 @@ def _assert_scan_matches_reference(slack, nodes, r0):
         assert lengths[j] == row.size
         assert np.array_equal(rs[j, : row.size], row)
         assert np.array_equal(vals[j, : row.size], row_vals)
-        ref, _ = _reference_refine_min(row, row_vals, slack, t)
-        assert abs(mins[j] - ref) <= 1e-14 * float(np.max(np.abs(row_vals)))
+        ref, ref_r = _reference_refine_min(row, row_vals, slack, t)
+        tol = 1e-14 * float(np.max(np.abs(row_vals))) + _rounding_spread(slack, ref_r, t)
+        assert abs(mins[j] - ref) <= tol
 
 
 def _touch_or_error(find, *args):
@@ -327,6 +338,10 @@ class TestBlowupMatchesReferenceScan:
         pulse_center=st.floats(1.5, 3.0),
         block=st.one_of(st.just(1), st.integers(2, 1 << 15)),
     )
+    # the minima at t = 0.885 lie at r = 0.022, where the two vertices
+    # 2.4e-12 apart evaluate 8.9e-16 apart amid ±3e-15 of rounding
+    @example(n=161, weight="linear", kappa=1.109375, amp=1.125, center=0.0, width=0.75,
+             pulse=-2.0, pulse_center=1.5, block=1)
     def test_detect_blowup_matches_reference(
         self, n, weight, kappa, amp, center, width, pulse, pulse_center, block
     ):
