@@ -298,21 +298,18 @@ class NullSolution:
         return _invert_slice(self.propagator.field(t), self.profile)
 
     def u_t(self, t: float) -> RadialField:
-        return self._jet(t)[1]
+        u, slope = self._u_slope(t)
+        return RadialField(u.grid, self.propagator.field_t(t).values / slope)
 
     def u_r(self, t: float) -> RadialField:
-        return self._jet(t)[2]
+        u, slope = self._u_slope(t)
+        return RadialField(u.grid, self.propagator.field_r(t).values / slope, parity="odd")
 
-    def _jet(self, t: float) -> Tuple[RadialField, RadialField, RadialField]:
-        """(u, u_t, u_r) at time t from one slice inversion: v_t and v_r
-        over F'(u)."""
+    def _u_slope(self, t: float) -> Tuple[RadialField, np.ndarray]:
+        """u at time t and F'(u) from one slice inversion; u_t and u_r are
+        v_t and v_r over F'(u)."""
         u = self.u(t)
-        slope = self.profile.F_prime(u.values)
-        return (
-            u,
-            RadialField(u.grid, self.propagator.field_t(t).values / slope),
-            RadialField(u.grid, self.propagator.field_r(t).values / slope, parity="odd"),
-        )
+        return u, self.profile.F_prime(u.values)
 
 
 def null_solution(data: CauchyData, profile: NonlinearityProfile) -> NullSolution:
@@ -390,8 +387,10 @@ def verify_pointwise_bounds(
     checked = 0
     for t in probes:
         t = float(t)
-        u, u_t, u_r = (s.values for s in sol._jet(t))
-        ur, ut = u_r[1:], np.abs(u_t[1:])
+        u, slope = sol._u_slope(t)
+        u = u.values
+        ur = sol.propagator.field_r(t).values[1:] / slope[1:]
+        ut = np.abs(sol.propagator.field_t(t).values[1:] / slope[1:])
         checked += u.size + 2 * ur.size
         for i in np.nonzero((u < lower - tol) | (u > upper + tol))[0]:
             violations.append((t, float(r[i]), "range", float(u[i])))
@@ -447,13 +446,14 @@ def dispersion_metrics(sol: NullSolution, probes: Optional[Sequence[float]] = No
     amps = np.empty(probes.size)
     v_energies = np.empty(probes.size)
     for k, t in enumerate(probes):
-        u, u_t, u_r = sol._jet(float(t))
-        flux = r * u_r.values
-        mom = r * u_t.values
+        t = float(t)
+        u, slope = sol._u_slope(t)
+        flux = r * (sol.propagator.field_r(t).values / slope)
+        mom = r * (sol.propagator.field_t(t).values / slope)
         energy = line_integral(grid, flux**2 + mom**2, tail="flag")
         sup_state = max(sup_state, math.sqrt(max(energy, 0.0)))
         amps[k] = np.max(np.abs(u.values))
-        v_energies[k] = sol.propagator.energy(float(t))
+        v_energies[k] = sol.propagator.energy(t)
 
     amplification = math.exp(sup0 - inf0) / eps
     bound = amplification * norm0
