@@ -267,10 +267,14 @@ def _duhamel_lattice(
 
 
 def _infected_mask(mask: NDArray) -> NDArray:
-    # forward light cone of every masked node, one node per time step
+    # forward light cone of every masked node, one node per time step,
+    # swept from the first column that holds one
     out = mask.copy()
-    front = mask[:, 0].copy()
-    for j in range(1, mask.shape[1]):
+    columns = np.flatnonzero(mask.any(axis=0))
+    if not columns.size:
+        return out
+    front = mask[:, columns[0]].copy()
+    for j in range(columns[0] + 1, mask.shape[1]):
         spread = front.copy()
         spread[1:] |= front[:-1]
         spread[:-1] |= front[1:]

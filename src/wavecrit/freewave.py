@@ -232,6 +232,29 @@ class FreePropagator:
         minus_behind, minus_ahead = _half_lines(r, pair.minus.values)
         self._psi_out = PPoly(np.hstack([minus_behind, plus_ahead]), x)
         self._psi_in = PPoly(np.hstack([plus_behind, minus_ahead]), x)
+        # a 1/r pole of the velocity: Ψ' jumps at the origin by r u₁ there
+        self._pole = bool(pair.plus.values[0] != pair.minus.values[0])
+
+    def curvature_bound(self) -> float:
+        """L = sup|Ψ_out''| + sup|Ψ_in''| over the whole line, in closed form
+        from the quadratic pieces of Ψ'' (their ends, and the vertex where it
+        lies inside the piece).
+
+        Because w(0, t) = 0, w_t(r, t) = ∫₀^r w_tr and |w_tr| ≤ L give
+        |u_t| ≤ L; because r w_r - w = ∫₀^r s w_rr ds, |u_r| ≤ L/2.  Both need
+        Ψ' continuous, which fails only at the origin under a velocity with a
+        1/r pole; L is then ∞.
+        """
+        if self._pole:
+            return np.inf
+        total = 0.0
+        for psi in (self._psi_out, self._psi_in):
+            a, b, c = psi.derivative(2).c
+            h = np.diff(psi.x)
+            vertex = np.divide(-b, 2.0 * a, out=np.zeros_like(a), where=a != 0.0)
+            s = np.clip(vertex, 0.0, h)
+            total += float(np.max(np.abs([c, (a * h + b) * h + c, (a * s + b) * s + c])))
+        return total
 
     # -- state evaluation --------------------------------------------------
 

@@ -171,47 +171,46 @@ def _solve_arrays(
     u = _u_of(w0, radii, h)
     taken_times, taken = ([0.0], [u]) if 0 in snap_steps else ([], [])
 
-    w_prev = w0.copy()
-    w_prev[0] = 0.0
-    # Taylor first step: second order, uses the prescribed velocity exactly.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs0 = null_source(u)(w1) if mode == "null" else source(u, w_prev)
-    w_cur = w_prev + k * w1 + 0.5 * k * k * (lap(w_prev) + rhs0)
+    w_cur = w0.copy()
     w_cur[0] = 0.0
-    # Outer node frozen at its initial value: any reflection stays outside
-    # probed radii when r_max >= probe + horizon, and the free scheme then
-    # conserves its staggered energy exactly.
-    w_cur[-1] = w_prev[-1]
-
-    u = _u_of(w_cur, radii, h)
-    if 1 in snap_steps:
-        taken_times.append(k)
-        taken.append(u)
     status, t_detect, step_index = "completed", None, None
     # levels w_done .. w_{done + pending}; their staggered energies are
     # evaluated together once the buffer is full and after the loop
     rows = np.empty((min(n_steps, _ENERGY_BLOCK) + 1, radii.size))
-    rows[0], rows[1] = w_prev, w_cur
-    energy_values, done, pending = np.empty(n_steps), 0, 1
+    rows[0] = w_cur
+    energy_values, done, pending = np.empty(n_steps), 0, 0
 
-    for j in range(1, n_steps):
+    for j in range(n_steps + 1):
+        # u is level j, tested before any step past it
+        if np.max(np.abs(u)) > threshold:
+            status, t_detect = "blew-up", j * k
+            break
+        if j == n_steps:
+            break
         if pending == _ENERGY_BLOCK:
             energy_values[done:j] = _pair_energy(rows[:-1], rows[1:], h, k)
             rows[0], done, pending = rows[-1], j, 0
         with np.errstate(over="ignore", invalid="ignore"):
-            base, accel = 2.0 * w_cur - w_prev, lap(w_cur)
-            if mode == "null":
-                # u_t enters the source: one predictor, two centered correctors.
-                src = null_source(u)
-                w_next = base + kk * (accel + src((w_cur - w_prev) / k))
-                for _ in range(2):
-                    w_next = base + kk * (accel + src((w_next - w_prev) / (2.0 * k)))
+            if j == 0:
+                # Taylor first step: second order, uses the prescribed velocity exactly.
+                rhs0 = null_source(u)(w1) if mode == "null" else source(u, w_cur)
+                w_next = w_cur + k * w1 + 0.5 * k * k * (lap(w_cur) + rhs0)
             else:
-                w_next = base + kk * (accel + source(u, w_cur))
+                base, accel = 2.0 * w_cur - w_prev, lap(w_cur)
+                if mode == "null":
+                    # u_t enters the source: one predictor, two centered correctors.
+                    src = null_source(u)
+                    w_next = base + kk * (accel + src((w_cur - w_prev) / k))
+                    for _ in range(2):
+                        w_next = base + kk * (accel + src((w_next - w_prev) / (2.0 * k)))
+                else:
+                    w_next = base + kk * (accel + source(u, w_cur))
         w_next[0] = 0.0
+        # Outer node frozen at its initial value: any reflection stays outside
+        # probed radii when r_max >= probe + horizon, and the free scheme then
+        # conserves its staggered energy exactly.
         w_next[-1] = w_cur[-1]
 
-        t_next = (j + 1) * k
         if not np.all(np.isfinite(w_next)):
             status, step_index = "unstable", j + 1
             break
@@ -219,11 +218,8 @@ def _solve_arrays(
         rows[pending] = w_next
         u = _u_of(w_next, radii, h)
         if j + 1 in snap_steps:
-            taken_times.append(t_next)
+            taken_times.append((j + 1) * k)
             taken.append(u)
-        if np.max(np.abs(u)) > threshold:
-            status, t_detect = "blew-up", t_next
-            break
         w_prev, w_cur = w_cur, w_next
 
     en_count = done + pending

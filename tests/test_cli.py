@@ -1,5 +1,6 @@
 """Scenario front end: config handling, exit codes, reports, sweeps."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -193,6 +194,39 @@ def test_verify_all(tmp_path, capsys):
     assert out.count("PASS") == 6 and "FAIL" not in out
     report = json.loads((tmp_path / "verify-all.json").read_text())
     assert report["passed"] and len(report["scenarios"]) == 6
+
+
+# SHA-256 of every file verify-all writes.  The bundled reports stay
+# bit-identical across refactors and speed-ups; a digest changes only
+# together with a CHANGES.md line that states the drift.
+VERIFY_ALL_SHA256 = {
+    "blowup-gaussian-f1-blowup.json": "c96aff2781727f6a486be30dbbedba78996a46e22d10263dea029e05d16e5f52",
+    "constant-null-classify.json": "4b98cbea257b4ccac3d90da6b52e7f624e689b0ef14b57c76cbcaee7302eb5aa",
+    "iterate-ground-iterate.csv": "16d7246917bd2f2c1cd7d683cf7046a5c317f6975dda130127d16b409d2a2dbb",
+    "iterate-ground-iterate.gp": "452739cc040c70390bfd840309671365baff5dbe3b6c43ffeb165dc00412a9b6",
+    "iterate-ground-iterate.json": "79c10b3fe1ba64086bc4eba553448b021e7f6fd532009d6e42e9a4110d2c2302",
+    "oracle-free-gaussian-oracle.csv": "96f2d2ff1abe0ec9ab4c39853c1d1dd8cdfe07e8e0b2e01c0094e8fdbcb6619a",
+    "oracle-free-gaussian-oracle.gp": "7a6478e2bfc7af11218055efc5958110734d44dc0a6d3a57641026d839d31db9",
+    "oracle-free-gaussian-oracle.json": "58d38380f5420c401398aaa4e4df46b8e641829de0eb8e9ba25bf2291764ca85",
+    "verify-all.json": "aa117195459f3822f39bb4c74f7042a337164cb536f286151000eb1763249d12",
+    "window-minus-oracle.csv": "f0500fda31cc96499bdd9d394c1be8580ed00c39951e600fed8418cd7836f8e9",
+    "window-minus-oracle.gp": "47eeff2bb05c085611156d9c59aeee2f3211b58cf18bb35b15a87468de940192",
+    "window-minus-oracle.json": "b43d581b4ecc75b2a2e8790ec96f0eb11a0249362e171185833e8607aa99b076",
+    "window-plus-oracle.csv": "be7b1c96fa2e9a03ba71721c30b03427b583db7c41a5128b2077e6a946be506e",
+    "window-plus-oracle.gp": "f96e704a0d377884a9481a6bb021ac4ed49d684b6c4a8c12b2942306d866bfc9",
+    "window-plus-oracle.json": "7a74e228415d78621c901f6bfc8df57ff173505632f33d76fca17406211c6e71",
+}
+
+
+def test_verify_all_report_bytes_are_pinned(tmp_path):
+    assert main(["verify-all", "--out-dir", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert sorted(got) == sorted(VERIFY_ALL_SHA256)
+    drift = sorted(name for name, digest in got.items() if digest != VERIFY_ALL_SHA256[name])
+    assert not drift, (
+        f"report bytes changed in {drift}; update a digest here only together with "
+        "a CHANGES.md line that states the drift and its bound"
+    )
 
 
 # ---------------------------------------------------------------------------

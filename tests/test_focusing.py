@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavecrit import (
@@ -292,6 +292,43 @@ def test_unit_impulse_stays_in_its_forward_cone(q, m):
     assert np.all(out[~cone] == 0.0)
     if 0 < q and m < n_t - 1:
         assert np.any(out[cone] != 0.0)
+
+
+def _reference_infected_mask(mask):
+    # the sweep over every column, kept as the oracle of _infected_mask
+    out = mask.copy()
+    front = mask[:, 0].copy()
+    for j in range(1, mask.shape[1]):
+        spread = front.copy()
+        spread[1:] |= front[:-1]
+        spread[:-1] |= front[1:]
+        front = spread | mask[:, j]
+        out[:, j] |= front
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_r=st.integers(1, 30),
+    n_t=st.integers(1, 30),
+    cells=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=8),
+    place=st.sampled_from(["anywhere", "first_column", "last_column", "edge_rows"]),
+)
+@example(n_r=161, n_t=121, cells=[], place="anywhere")
+def test_infected_mask_matches_full_sweep(n_r, n_t, cells, place):
+    mask = np.zeros((n_r, n_t), dtype=bool)
+    for a, b in cells:
+        q, m = a % n_r, b % n_t
+        if place == "first_column":
+            m = 0
+        elif place == "last_column":
+            m = n_t - 1
+        elif place == "edge_rows":
+            q = (n_r - 1) * (a % 2)
+        mask[q, m] = True
+    out = _infected_mask(mask)
+    assert out is not mask
+    np.testing.assert_array_equal(out, _reference_infected_mask(mask))
 
 
 def test_duhamel_apply_validates_shape_and_grid():

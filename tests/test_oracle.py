@@ -227,6 +227,26 @@ def test_power_runs_without_threshold_go_unstable_not_silent():
     assert run.step_index is not None
 
 
+def test_threshold_tested_on_the_data():
+    # sup u0 = 10 is over the threshold before any step is taken
+    grid = RadialGrid.uniform(8.0, 161)
+    data = pair(lambda r: 10.0 * np.exp(-(r**2)), zeros, grid)
+    run = fd_solve(data, None, 1.0, h=0.05, threshold=5.0)
+    assert (run.status, run.t_detect, run.step_index) == ("blew-up", 0.0, None)
+    assert run.energy_values.size == 0
+
+
+def test_threshold_tested_after_the_taylor_step():
+    # u0 = 0, so only the Taylor first step can cross a threshold of half its sup
+    grid = RadialGrid.uniform(8.0, 161)
+    data = pair(zeros, lambda r: 50.0 * np.exp(-(r**2)), grid)
+    free = fd_solve(data, None, 1.0, h=0.05, threshold=np.inf, snapshot_times=[0.0, 0.04])
+    assert free.k == 0.04 and np.max(np.abs(free.snapshots[0])) == 0.0
+    run = fd_solve(data, None, 1.0, h=0.05, threshold=0.5 * np.max(np.abs(free.snapshots[1])))
+    assert (run.status, run.t_detect) == ("blew-up", free.k)
+    np.testing.assert_array_equal(run.energy_values, free.energy_values[:1])
+
+
 def test_detection_brackets_exact_blowup_time(unit_profile):
     # the exact solver puts the first touch at t0 inside a window radius r0;
     # detection must land in [t0 - delta, r0 + delta] with delta shrinking
@@ -432,16 +452,16 @@ def assert_same_run(got: FDRun, want: FDRun):
 
 def _threshold_exiting_at(args, exit_step):
     """A threshold that stops the run at exit_step, or inf when sup|u| sets
-    no new record there (the threshold is tested from step 2 on)."""
+    no new record there (the threshold is tested at every level)."""
     radii, w0, w1, rhs, horizon, cfl = args
     unbounded = _reference_solve_arrays(radii, w0, w1, rhs, horizon, cfl, np.inf,
                                         horizon * np.arange(1000) / 999)
     sups = np.max(np.abs(unbounded.snapshots), axis=1)
     steps = np.rint(unbounded.snapshot_times / unbounded.k).astype(int)
     at = np.flatnonzero(steps == exit_step)
-    if not at.size or exit_step < 2:
+    if not at.size:
         return np.inf
-    before = sups[(steps >= 2) & (steps < exit_step)]
+    before = sups[steps < exit_step]
     record = float(np.max(before)) if before.size else 0.0
     top = float(sups[at[0]])
     return record + 0.5 * (top - record) if top > record else np.inf
