@@ -274,10 +274,14 @@ class FreePropagator:
 
     def at(self, r, t):
         """u(r, t), broadcasting r against t; the origin value is the shell
-        limit."""
+        limit, evaluated only when some radius is not positive."""
         r = np.asarray(r, dtype=float)
         w = self.displacement(r, t)
-        out = np.where(r > 0, w / np.where(r > 0, r, 1.0), self.shell(0.0, t))
+        positive = r > 0
+        if positive.all():
+            out = w / r
+        else:
+            out = np.where(positive, w / np.where(positive, r, 1.0), self.shell(0.0, t))
         return out if out.ndim else float(out)
 
     def origin(self, ts):

@@ -106,10 +106,11 @@ def _level_slack(prop: FreePropagator, side: str, a: float, b: float):
 _SCAN_POINTS = 1 << 14  # (times × radii) points per block of the first-touch scan
 _ROUNDING = 1024 * np.finfo(float).eps  # noise of _first_touch per unit of S + |c|
 _MERGE = 4  # ulps within which the edge counts as the node below it
-# blocked points that cost as much as the overhead of one cone row taken
-# alone (its two FreePropagator.at calls and the skip): 114 µs against
-# 0.065-0.073 µs per blocked point, measured on x86_64 with numpy 2.4
-_LONE_ROW = 1500
+# blocked points that cost as much as one cone row taken alone (building it,
+# its FreePropagator.at call, the refine and the skip): 67-84 µs against
+# 0.050-0.065 µs per blocked point on 161-3201 nodes, one pinned x86_64 core,
+# numpy 2.4; a row's parabola vertex, when it needs one, is a second at call
+_LONE_ROW = 1300
 
 
 def _refine_rows(slack, ts, rs, vals, lengths):
@@ -124,6 +125,8 @@ def _refine_rows(slack, ts, rs, vals, lengths):
     i = np.argmin(vals, axis=1)
     best_v, best_r = vals[rows, i], rs[rows, i]
     inner = np.flatnonzero((i > 0) & (i < lengths - 1))
+    if not inner.size:
+        return best_v, best_r
     near = i[inner, None] + np.arange(-1, 2)
     x, y = rs[inner[:, None], near], vals[inner[:, None], near]
     dm, dp = x[:, 1] - x[:, 0], x[:, 2] - x[:, 1]
@@ -152,21 +155,25 @@ def _row_layout(nodes, r0: float, ts):
     return edge, k, origin, coarse, lengths
 
 
-def _cone_rows(nodes, r0: float, ts):
-    """Padded (times × radii) rows of the shrinking cone r ≤ r0 - |t| and
-    their lengths: the nodes below the edge then the edge itself, 33 even
-    points on [0, edge] when that gives fewer than 9, the origin alone once
-    the edge is ≤ 0.  Padding holds the nodes beyond the edge."""
-    edge, k, origin, coarse, lengths = _row_layout(nodes, r0, ts)
+def _layout_rows(nodes, edge, k, origin, coarse, lengths):
+    """Padded (times × radii) rows of a _row_layout and their lengths: the
+    nodes below the edge then the edge itself, 33 even points on [0, edge]
+    when that gives fewer than 9, the origin alone once the edge is ≤ 0.
+    Padding holds the nodes beyond the edge."""
     width = int(lengths.max())
-    rs = np.tile(nodes[np.minimum(np.arange(width), nodes.size - 1)], (ts.size, 1))
-    rs[np.arange(ts.size), k] = edge
+    rs = np.tile(nodes[np.minimum(np.arange(width), nodes.size - 1)], (edge.size, 1))
+    rs[np.arange(edge.size), k] = edge
     rs[origin, 0] = 0.0
     if np.any(coarse):
         even = np.arange(33.0) * (edge[coarse, None] / 32.0)  # = np.linspace(0, edge, 33)
         even[:, -1] = edge[coarse]
         rs[coarse, :33] = even
     return rs, lengths
+
+
+def _cone_rows(nodes, r0: float, ts):
+    """Padded rows of the shrinking cone r ≤ r0 - |t| (see _layout_rows)."""
+    return _layout_rows(nodes, *_row_layout(nodes, r0, ts))
 
 
 def _row_mins(slack, ts, rs, lengths):
@@ -194,12 +201,13 @@ def _skip_clear_rows(slack, nodes, r0: float, ts, lip: float, noise: float):
     """
     if not math.isfinite(lip):
         return 0, None
-    edge, _, origin, coarse, width = _row_layout(nodes, r0, ts)
+    layout = _row_layout(nodes, r0, ts)
+    edge, _, origin, coarse, width = layout
     r_min = np.where(coarse, edge / 32.0, nodes[1])  # smallest positive radius of each row
     eps = np.where(origin, noise, noise * (1.0 + nodes[-1] / r_min))
     i = 0
     while i < ts.size:
-        rs, lengths = _cone_rows(nodes, r0, ts[i : i + 1])
+        rs, lengths = _layout_rows(nodes, *(part[i : i + 1] for part in layout))
         m, loc = _row_mins(slack, ts[i : i + 1], rs, lengths)
         if m[0] <= 0.0:
             return i, float(loc[0])
@@ -221,11 +229,11 @@ def _first_touch(
 
     The scan times are those of a plain scan, ts = linspace(0, r0, scan + 1),
     and the first of them whose refined cone minimum is ≤ 0 brackets the
-    bisection, which is unchanged.  Rows are first taken one at a time, each
-    followed by a skip (Piyavskii–Shubert) over the later times that cannot
-    touch: with |∂_t slack| ≤ lip and |∂_r slack| ≤ lip/2, a row at time t
-    whose evaluated points have largest gap g and refined minimum m > 0
-    keeps the true slack ≥ m - ε(t) - lip·g/4 on its whole segment, and so
+    bisection.  Rows are first taken one at a time, each followed by a skip
+    (Piyavskii–Shubert) over the later times that cannot touch: with
+    |∂_t slack| ≤ lip and |∂_r slack| ≤ lip/2, a row at time t whose
+    evaluated points have largest gap g and refined minimum m > 0 keeps the
+    true slack ≥ m - ε(t) - lip·g/4 on its whole segment, and so
     ≥ m - ε(t) - lip·g/4 - lip·(t' - t) on every later row, which lies
     inside it.  A time t' where that exceeds ε(t') evaluates to > 0 and is
     skipped.  Once the rows a row skips hold fewer than _LONE_ROW points,
@@ -249,6 +257,19 @@ def _first_touch(
     times that as noise, which also covers the rounding of lip, of the gaps,
     of the time differences and of the mirrored pieces of Ψ (re-expanded, so
     w(0, t) = 0 holds to rounding only).
+
+    The bisection halves the bracket [lo, hi] at mid = 0.5·(lo + hi),
+    keeping [lo, mid] when mid touches (minimum ≤ 0) and [mid, hi]
+    otherwise, until hi - lo ≤ tol.  It runs in rounds on a midpoint tree: a round
+    computes every midpoint that its next d halvings can visit, 2^d - 1
+    times in heap order, evaluates them in one _cone_mins call and then
+    walks the tree by the same rule.  So it visits the same midpoints, in
+    the same order, as halving one midpoint at a time, even where touching
+    is not monotone in t.  d minimises the cost per halving,
+    (_LONE_ROW + (2^d - 1)·width)/d in blocked points with width the
+    bracket's widest row, and is at most the halvings still needed: d = 4
+    on the 33-point rows near the cone tip, d = 1 (one midpoint per call)
+    on rows of _LONE_ROW points or more.
     """
     ts = np.linspace(0.0, r0, scan + 1)
     i, hi_loc = _skip_clear_rows(slack, nodes, r0, ts, lip, noise)
@@ -265,18 +286,47 @@ def _first_touch(
                 window=float(r0),
             )
         i, hi_loc = start + int(hit[0]), float(loc[hit[0]])
-    hi = float(ts[i])
     if i == 0:
-        return hi, hi_loc
-    lo = float(ts[i - 1])
+        return float(ts[0]), hi_loc
+    return _bisect_touch(slack, nodes, r0, float(ts[i - 1]), float(ts[i]), hi_loc, tol)
+
+
+def _bisect_touch(slack, nodes, r0: float, lo: float, hi: float, hi_loc: float, tol: float):
+    """The bisection of _first_touch on the bracket [lo, hi], hi touching at
+    radius hi_loc, by rounds on a midpoint tree: (t, radius) of its last
+    touching midpoint, or (hi, hi_loc) when none touches."""
+    width = int(_row_layout(nodes, r0, np.array([lo]))[-1][0])  # the bracket's widest row
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        m, loc = _cone_mins(slack, nodes, r0, np.array([mid]))
-        if m[0] <= 0.0:
-            hi, hi_loc = mid, float(loc[0])
-        else:
-            lo = mid
+        depth = _tree_depth(width, math.ceil(math.log2((hi - lo) / tol)))
+        tree = _midpoint_tree(lo, hi, depth)
+        m, loc = _cone_mins(slack, nodes, r0, tree)
+        j = 0
+        while j < tree.size and hi - lo > tol:
+            if m[j] <= 0.0:
+                hi, hi_loc, j = float(tree[j]), float(loc[j]), 2 * j + 1
+            else:
+                lo, j = float(tree[j]), 2 * j + 2
     return hi, hi_loc
+
+
+def _tree_depth(width: int, halvings: int) -> int:
+    """Depth d ≤ halvings of the midpoint tree with the least cost per
+    halving, (_LONE_ROW + (2^d - 1)·width)/d in blocked points."""
+    d = np.arange(1, max(halvings, 1) + 1)
+    return int(d[np.argmin((_LONE_ROW + (2.0**d - 1.0) * width) / d)])
+
+
+def _midpoint_tree(lo: float, hi: float, depth: int):
+    """Every midpoint the next depth halvings of [lo, hi] can visit, 2^depth - 1
+    times in heap order (the children of entry j at 2j + 1 and 2j + 2), each
+    the 0.5·(lo + hi) of its own bracket."""
+    ends = np.array([lo, hi])
+    levels = []
+    for _ in range(depth):
+        mids = 0.5 * (ends[:-1] + ends[1:])
+        levels.append(mids)
+        ends = np.sort(np.concatenate([ends, mids]))  # each mid between its ends
+    return np.concatenate(levels)
 
 
 def _log_rate_fit(slack, profile, side, t0, r1):

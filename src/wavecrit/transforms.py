@@ -86,14 +86,15 @@ class NonlinearityProfile:
 
     Attributes: f, a, b, classification, name, working_range (the tabulated
     t-interval; evaluation outside it raises).  F, F_prime, F_second, and
-    F_inverse are vectorized callables.
+    F_inverse are vectorized callables.  g is the cubic spline of the inner
+    integral g(t) = ∫₀^t f on the table abscissae ts, and F' = exp(-g).
     """
 
     def __init__(
         self,
         f: Callable[[NDArray], NDArray],
         ts: NDArray,
-        g_values: NDArray,
+        g: CubicSpline,
         f_table: NDArray,
         classification: EndpointClassification,
         name: str = "custom",
@@ -104,7 +105,7 @@ class NonlinearityProfile:
         self.a = classification.a
         self.b = classification.b
         self._ts = ts
-        self._g = CubicSpline(ts, g_values)
+        self._g = g
         self._F = CubicSpline(ts, f_table)
         self._Fp = self._F.derivative()
         self._F_table = f_table
@@ -258,7 +259,7 @@ def build_profile(
         b=b,
         confidence=confidence,
     )
-    return NonlinearityProfile(f, ts, g_values, full_table, classification, name=name)
+    return NonlinearityProfile(f, ts, g_spline, full_table, classification, name=name)
 
 
 def _as_array_fn(f: Callable) -> Callable[[NDArray], NDArray]:

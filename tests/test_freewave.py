@@ -364,6 +364,17 @@ def _random_data(n, r_max, kind, a, b, c, width, graded=False):
     return CauchyData(u0, u1)
 
 
+def _line_tolerance(want):
+    """2e-15 of the largest reference value, at least of the smallest normal
+    number, and at least 16 subnormal steps: below the smallest normal
+    number each rounding errs by up to half of 5e-324 whatever the size of
+    its operands, so on subnormal data the few dozen roundings of both
+    evaluations together can exceed the relative bound.  Seen: 12 steps for
+    origin_t of a = 1.1125369292536007e-308."""
+    scale = max(float(np.max(np.abs(want))) or 1.0, np.finfo(float).tiny)
+    return max(2e-15 * scale, 16 * 5e-324)
+
+
 class TestLinePrimitives:
     """Ψ_out and Ψ_in against the half-line reference evaluation."""
 
@@ -379,10 +390,12 @@ class TestLinePrimitives:
         graded=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    # a subnormal amplitude: the relative tolerance needs a floor at the
-    # smallest normal number
+    # subnormal amplitudes: the relative tolerance needs a floor at the
+    # smallest normal number, and an absolute one of a few subnormal steps
     @example(n=161, r_max=2.0, kind="regular", a=0.0, b=5e-324, c=0.0, width=1.0,
              graded=False, seed=0)
+    @example(n=161, r_max=2.0, kind="regular", a=1.1125369292536007e-308, b=0.0, c=0.0,
+             width=1.0, graded=False, seed=0)
     def test_matches_half_line_reference(self, n, r_max, kind, a, b, c, width, graded, seed):
         data = _random_data(n, r_max, kind, a, b, c, width, graded)
         prop = FreePropagator(data)
@@ -398,8 +411,7 @@ class TestLinePrimitives:
         R, T = r[None, :], ts[:, None]
         for name in ("displacement", "displacement_t", "shell"):
             got, want = getattr(prop, name)(R, T), ref[name](R, T)
-            scale = max(float(np.max(np.abs(want))) or 1.0, np.finfo(float).tiny)
-            assert np.max(np.abs(got - want)) <= 2e-15 * scale, name
+            assert np.max(np.abs(got - want)) <= _line_tolerance(want), name
         w, w_ref = prop.displacement(R, T), ref["displacement"](R, T)
         ahead = np.broadcast_to(R >= np.abs(T), w.shape)
         assert np.array_equal(w[ahead], w_ref[ahead])
@@ -409,8 +421,7 @@ class TestLinePrimitives:
             # primitives (right-hand pieces at each breakpoint) half of it
             keep = ts if name == "origin" else ts[np.abs(ts) != rho]
             got, want = getattr(prop, name)(keep), ref[name](keep)
-            scale = max(float(np.max(np.abs(want))) or 1.0, np.finfo(float).tiny)
-            assert np.max(np.abs(got - want)) <= 2e-15 * scale, name
+            assert np.max(np.abs(got - want)) <= _line_tolerance(want), name
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -441,6 +452,50 @@ class TestLinePrimitives:
             assert ut.values[0] == prop.origin_t(t)
             assert ut.origin_moment == 0.0
         assert prop.field_t(0.0).origin_moment != 0.0
+
+
+def _at_with_origin_limit(prop, r, t):
+    """FreePropagator.at as it was before it skipped the origin limit on
+    positive radii: the oracle of that skip."""
+    r = np.asarray(r, dtype=float)
+    w = prop.displacement(r, t)
+    out = np.where(r > 0, w / np.where(r > 0, r, 1.0), prop.shell(0.0, t))
+    return out if out.ndim else float(out)
+
+
+class TestPositiveRadii:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(161, 801),
+        kind=st.sampled_from(["regular", "expanding", "collapsing"]),
+        a=st.floats(-2.0, 2.0),
+        b=st.floats(-2.0, 2.0),
+        c=st.floats(0.0, 4.0),
+        t=st.floats(-15.0, 15.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_at_equals_the_origin_limit_form(self, n, kind, a, b, c, t, seed):
+        # strictly positive radii skip the origin limit shell(0, t); radii
+        # with the origin keep it; both bitwise equal to the np.where form,
+        # scalars, rows and (times × radii) broadcasts alike
+        data = _random_data(n, 8.0, kind, a, b, c, 1.0)
+        prop = FreePropagator(data)
+        rng = np.random.default_rng(seed)
+        positive = np.concatenate([[1e-300, 1e-12], data.grid.nodes[1:],
+                                   rng.uniform(0.0, 12.0, 200)])
+        positive = positive[positive > 0.0]
+        times = np.concatenate([[t, 0.0, -t], rng.uniform(-12.0, 12.0, 5)])
+        cases = [
+            (positive, t),
+            (positive[None, :], times[:, None]),
+            (float(positive[-1]), t),
+            (data.grid.nodes, t),
+            (np.append(positive, 0.0)[None, :], times[:, None]),
+        ]
+        for r, at_t in cases:
+            got, want = prop.at(r, at_t), _at_with_origin_limit(prop, r, at_t)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
 
 
 def ball_one() -> Field3D:

@@ -223,7 +223,12 @@ def _blocked_first_touch(slack, nodes, r0, scan=1024, tol=1e-10):
     hi, hi_loc = float(ts[i]), float(loc[hit[0]])
     if i == 0:
         return hi, hi_loc
-    lo = float(ts[i - 1])
+    return _plain_bisection(slack, nodes, r0, float(ts[i - 1]), hi, hi_loc, tol)
+
+
+def _plain_bisection(slack, nodes, r0, lo, hi, hi_loc, tol):
+    """One midpoint per _cone_mins call, kept as the oracle of the midpoint
+    tree."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         m, loc = _cone_mins(slack, nodes, r0, np.array([mid]))
@@ -478,6 +483,7 @@ class TestCertifiedScan:
         assert abs(report.t0) >= 0.99 * report.window
         assert len(cones) == 2  # u1 = 0 fails in both time directions
         for one_at_a_time, left in cones:
+            assert one_at_a_time >= 1  # the row at t = 0 at least
             assert one_at_a_time + left <= 50  # of 1025 scan times
 
     def test_pole_velocity_has_no_curvature_bound(self):
@@ -514,6 +520,103 @@ class TestCertifiedScan:
         assert np.all(dt <= lip * np.abs(t2 - t) + 2.0 * eps)
         u_r = (prop.shell(r, t) - prop.at(r, t)) / r
         assert np.all(np.abs(u_r) <= lip / 2.0 + 2.0 * eps / r)
+
+
+class TestTreeBisection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(161, 1601),
+        k=st.integers(0, 160),
+        start=st.floats(0.0, 0.999),
+        decades=st.floats(2.0, 9.0),
+        tol=st.sampled_from([1e-10, 1e-12]),
+        level=st.floats(-0.95, -0.05),
+        cycles=st.floats(0.0, 40.0),
+        factor=st.sampled_from([0, 1, 4, 8, 32, 256, 4096]),
+    )
+    # one bracket of 33-point rows, touching not monotone in t, under trees
+    # of depth 1, 2, 3 and 4
+    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, factor=1)
+    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, factor=4)
+    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, factor=8)
+    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, factor=32)
+    def test_walks_the_path_of_plain_bisection(
+        self, n, k, start, decades, tol, level, cycles, factor
+    ):
+        # a bracket of 10^-decades·r0; the cone minimum is at r = 0, where
+        # slack is level plus a triangle wave in t of 2^cycles periods over
+        # the bracket: touching (≤ 0) is not monotone in t down to the
+        # period; _LONE_ROW is a multiple of the bracket's row width, so
+        # trees of depth 1 (factor 0 and 1) to 2, 3, 4 and more occur
+        nodes = np.linspace(0.0, 8.0, n)
+        r0 = float(nodes[k]) if k else 1.0
+        lo = start * r0
+        hi = min(lo + 10.0**-decades * r0, r0)
+        freq = 2.0 ** cycles / (hi - lo)
+
+        def slack(rs, ts):
+            return rs**2 + level + np.abs(np.mod(freq * (ts - lo), 2.0) - 1.0)
+
+        width = int(nullwave._row_layout(nodes, r0, np.array([lo]))[-1][0])
+        depths = []
+        tree = nullwave._midpoint_tree
+
+        def spy(lo, hi, depth):
+            depths.append(depth)
+            return tree(lo, hi, depth)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nullwave, "_LONE_ROW", factor * width)
+            mp.setattr(nullwave, "_midpoint_tree", spy)
+            got = nullwave._bisect_touch(slack, nodes, r0, lo, hi, -1.0, tol)
+        want = _plain_bisection(slack, nodes, r0, lo, hi, -1.0, tol)
+        assert got == want
+        comb = np.linspace(lo, hi, 4097)
+        touch = _cone_mins(slack, nodes, r0, comb)[0] <= 0.0
+        event(f"touching is monotone in t: {not np.any(touch[:-1] & ~touch[1:])}")
+        deepest = max(depths, default=0)
+        event(f"deepest tree: {min(deepest, 4)}{'+' if deepest >= 4 else ''}")
+
+    def test_stops_where_plain_bisection_stops(self, monkeypatch):
+        # rounding leaves the bracket at exactly tol after four halvings,
+        # although log2((hi - lo)/tol) = 4 + 5e-13 asks for a fifth level;
+        # the fifth midpoint would touch (slack ≤ 0 from t_star on)
+        lo, hi = 0.5606394622302311, 0.5615899754628607
+        a = lo
+        for _ in range(4):
+            a = 0.5 * (a + hi)
+        tol, t_star = hi - a, 0.5 * (a + hi)
+        assert math.ceil(math.log2((hi - lo) / tol)) == 5
+        nodes = np.linspace(0.0, 8.0, 161)
+
+        def slack(rs, ts):
+            return rs + (t_star - ts)
+
+        monkeypatch.setattr(nullwave, "_LONE_ROW", 10**6)  # one tree of depth 5
+        got = nullwave._bisect_touch(slack, nodes, 1.0, lo, hi, -1.0, tol)
+        assert got == _plain_bisection(slack, nodes, 1.0, lo, hi, -1.0, tol) == (hi, -1.0)
+
+    @pytest.mark.parametrize(
+        "width, halvings, depth",
+        [(33, 24, 4), (33, 3, 3), (33, 1, 1), (61, 24, 4), (239, 24, 3),
+         (1299, 24, 2), (1300, 24, 1), (3201, 24, 1)],
+    )
+    def test_depth_minimises_cost_per_halving(self, monkeypatch, width, halvings, depth):
+        # with a lone row worth 1300 blocked points: 33-point rows near the
+        # cone tip take four halvings per call, rows of 1300 points or more
+        # one, as the plain loop did; never more than the halvings left
+        monkeypatch.setattr(nullwave, "_LONE_ROW", 1300)
+        assert nullwave._tree_depth(width, halvings) == depth
+
+    def test_tree_holds_each_bracket_midpoint_in_heap_order(self):
+        lo, hi = 0.1, 0.7
+        tree = nullwave._midpoint_tree(lo, hi, 4)
+        assert tree.size == 15
+        brackets = {0: (lo, hi)}
+        for j, mid in enumerate(tree):
+            a, b = brackets.pop(j)
+            assert mid == 0.5 * (a + b)
+            brackets[2 * j + 1], brackets[2 * j + 2] = (a, mid), (mid, b)
 
 
 class TestTimeReversal:
