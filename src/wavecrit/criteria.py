@@ -21,7 +21,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import AdmissibilityError, ConfigError, SolitonError
 from .freewave import _SPHERE_NODES, CauchyData, reduce_to_line
-from .radial import Field3D, RadialField, RadialGrid, differentiate, kato_norm
+from .radial import Field3D, RadialField, RadialGrid, differentiate, kato_norm, row_norm
 from .transforms import NonlinearityProfile
 
 __all__ = [
@@ -142,10 +142,6 @@ def _stable_min(slack: Callable[[NDArray], NDArray], point_sets: Iterable[NDArra
             break
         prev = m
     return m, pts[k].tolist()
-
-
-def _norm_rows(a: NDArray) -> NDArray:
-    return np.sqrt(np.sum(np.atleast_2d(a) ** 2, axis=1))
 
 
 def _spline(f: RadialField) -> CubicSpline:
@@ -284,7 +280,7 @@ def nonradial_momentum(data: CauchyData) -> Verdict:
 
     def slack(pts):
         last["u0"] = data.u0(pts)
-        last["momentum"] = data.u1(pts) - _norm_rows(data.u0.gradient(pts))
+        last["momentum"] = data.u1(pts) - row_norm(data.u0.gradient(pts))
         return np.minimum(last["u0"], last["momentum"])
 
     m, loc = _stable_min(slack, _shell_levels(R))
@@ -303,7 +299,7 @@ def nonradial_laplacian(data: CauchyData, strict: bool = True, kato: bool = True
     R = max(data.u0.support_radius, data.u1.support_radius)
 
     def slack(pts):
-        return -data.u0.laplace(pts) - _norm_rows(data.u1.gradient(pts))
+        return -data.u0.laplace(pts) - row_norm(data.u1.gradient(pts))
 
     margin, loc = _stable_min(slack, _shell_levels(R))
     bounds: Dict[str, object] = {"validity": "all t"}
@@ -313,7 +309,7 @@ def nonradial_laplacian(data: CauchyData, strict: bool = True, kato: bool = True
             support_radius=data.u0.support_radius,
         )
         grad_abs = Field3D(
-            fn=lambda p: _norm_rows(data.u1.gradient(np.atleast_2d(p))),
+            fn=lambda p: row_norm(data.u1.gradient(np.atleast_2d(p))),
             support_radius=data.u1.support_radius,
         )
         k1 = kato_norm(lap_abs)
@@ -399,7 +395,7 @@ def local_existence_time(
     else:
         R = max(data.u0.support_radius, data.u1.support_radius)
         pts = _shell_points(R, 65, include_origin=True)
-        grad_sup = float(np.max(_norm_rows(data.u0.gradient(pts))))
+        grad_sup = float(np.max(row_norm(data.u0.gradient(pts))))
         vel_sup = float(np.max(np.abs(data.u1(pts))))
         v0 = data.u0(pts)
         u_lo, u_hi = float(np.min(v0)), float(np.max(v0))
@@ -480,9 +476,9 @@ def focusing_domination(u_data: CauchyData, v_data: CauchyData, case: str) -> Ve
             def slack(pts):
                 return (
                     u_data.u1(pts)
-                    - _norm_rows(u_data.u0.gradient(pts))
+                    - row_norm(u_data.u0.gradient(pts))
                     - np.abs(v_data.u1(pts))
-                    - _norm_rows(v_data.u0.gradient(pts))
+                    - row_norm(v_data.u0.gradient(pts))
                 )
 
         else:
@@ -490,9 +486,9 @@ def focusing_domination(u_data: CauchyData, v_data: CauchyData, case: str) -> Ve
             def slack(pts):
                 return (
                     -u_data.u0.laplace(pts)
-                    - _norm_rows(u_data.u1.gradient(pts))
+                    - row_norm(u_data.u1.gradient(pts))
                     - np.abs(v_data.u0.laplace(pts))
-                    - _norm_rows(v_data.u1.gradient(pts))
+                    - row_norm(v_data.u1.gradient(pts))
                 )
 
         R = max(
@@ -583,16 +579,16 @@ def supercritical_envelope(data: CauchyData, N: int, alpha: float = 0.0) -> Verd
     else:
 
         def load_pts(pts):
-            return np.abs(data.u0.laplace(pts)) + _norm_rows(data.u1.gradient(pts))
+            return np.abs(data.u0.laplace(pts)) + row_norm(data.u1.gradient(pts))
 
         def slack(pts):
-            s = _norm_rows(pts)
+            s = row_norm(pts)
             return amp / (alpha + s) ** p - load_pts(pts)
 
         R = max(data.u0.support_radius, data.u1.support_radius)
         margin, loc = _stable_min(slack, _shell_levels(R, include_origin=alpha > 0))
         pts = _shell_points(R, 65, include_origin=False)
-        radii = _norm_rows(pts)
+        radii = row_norm(pts)
         load_vals = load_pts(pts)
 
     bounds: Dict[str, object] = {

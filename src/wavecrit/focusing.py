@@ -267,20 +267,19 @@ def _duhamel_lattice(
 
 
 def _infected_mask(mask: NDArray) -> NDArray:
-    # forward light cone of every masked node, one node per time step,
-    # swept from the first column that holds one
-    out = mask.copy()
-    columns = np.flatnonzero(mask.any(axis=0))
-    if not columns.size:
-        return out
-    front = mask[:, columns[0]].copy()
-    for j in range(columns[0] + 1, mask.shape[1]):
-        spread = front.copy()
-        spread[1:] |= front[:-1]
-        spread[:-1] |= front[1:]
-        front = spread | mask[:, j]
-        out[:, j] |= front
-    return out
+    # forward light cone of every masked node, one node per time step: (q, m)
+    # reaches (i, j) exactly when q − m ≥ i − j and q + m ≤ i + j (the cones
+    # clip at the end nodes, never reflect), so the least q + m of the masked
+    # nodes on diagonals i − j and above decides node (i, j)
+    q, m = np.nonzero(mask)
+    if not q.size:
+        return mask.copy()
+    n_r, n_t = mask.shape
+    least = np.full(n_r + n_t - 1, n_r + n_t)  # above every i + j
+    np.minimum.at(least, q - m + n_t - 1, q + m)
+    least = np.minimum.accumulate(least[::-1])[::-1]
+    i, j = np.arange(n_r)[:, None], np.arange(n_t)
+    return least[i - j + n_t - 1] <= i + j
 
 
 def duhamel_apply(

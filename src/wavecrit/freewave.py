@@ -37,7 +37,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import ExtentError
-from .radial import _GL_NODES, _GL_WEIGHTS, Field3D, RadialField, RadialGrid
+from .radial import _GL_NODES, _GL_WEIGHTS, Field3D, RadialField, RadialGrid, cube_points, row_norm
 
 __all__ = [
     "CauchyData",
@@ -292,9 +292,15 @@ class FreePropagator:
         return out if out.ndim else float(out)
 
     def origin_t(self, ts):
-        """u_t(0, t) by the exact slope formula ∂_r w_t(0, t)."""
+        """u_t(0, t) by the exact slope formula ∂_r w_t(0, t); at |t| = ρ the
+        limit from inside |t| < ρ."""
         ts = np.asarray(ts, dtype=float)
-        out = -self._psi_out(-ts, 2) + self._psi_in(ts, 2)
+        behind, ahead = self._psi_out(-ts, 2), self._psi_in(ts, 2)
+        # At |t| = ρ one term is read at +ρ, where the straight end piece on
+        # its right gives 0.  On 0 < y ≤ ρ, Ψ_in''(y) = −Ψ_out''(−y) and
+        # Ψ_out''(y) = −Ψ_in''(−y), so that term equals the one read at −ρ.
+        rim = np.where(ts > 0, -2.0 * behind, 2.0 * ahead)
+        out = np.where(np.abs(ts) == self._rho, rim, -behind + ahead)
         return out if out.ndim else float(out)
 
     def trusted_radius(self, t: float) -> float:
@@ -472,7 +478,7 @@ def evaluate_at_origin_nonradial(
     lap = _mean_profile(lambda p: -u0.laplace(p), radii)
     slope = _mean_profile(
         lambda p: np.sum(
-            u1.gradient(p) * (p / np.maximum(np.linalg.norm(p, axis=1), 1e-300)[:, None]),
+            u1.gradient(p) * (p / np.maximum(row_norm(p), 1e-300)[:, None]),
             axis=1,
         ),
         radii,
@@ -498,14 +504,15 @@ def as_general(data: CauchyData) -> CauchyData:
     def lift(field: RadialField) -> Field3D:
         s = CubicSpline(field.grid.nodes, field.values)
         d1, d2 = s.derivative(), s.derivative(2)
+        origin = 3 * d2(0.0)
 
         def fn(pts):
-            rho = np.linalg.norm(np.atleast_2d(pts), axis=1)
+            rho = row_norm(pts)
             return np.where(rho <= r_max, s(np.minimum(rho, r_max)), 0.0)
 
         def grad(pts):
             pts = np.atleast_2d(pts)
-            rho = np.linalg.norm(pts, axis=1)
+            rho = row_norm(pts)
             scale = np.where(
                 (rho > 1e-12) & (rho <= r_max),
                 d1(np.minimum(rho, r_max)) / np.maximum(rho, 1e-12),
@@ -514,11 +521,9 @@ def as_general(data: CauchyData) -> CauchyData:
             return pts * scale[:, None]
 
         def lap(pts):
-            rho = np.linalg.norm(np.atleast_2d(pts), axis=1)
-            inner = d2(np.minimum(rho, r_max)) + 2 * d1(np.minimum(rho, r_max)) / np.maximum(
-                rho, 1e-12
-            )
-            origin = 3 * d2(0.0)
+            rho = row_norm(pts)
+            clipped = np.minimum(rho, r_max)
+            inner = d2(clipped) + 2 * d1(clipped) / np.maximum(rho, 1e-12)
             out = np.where(rho > 1e-12, inner, origin)
             return np.where(rho <= r_max, out, 0.0)
 
@@ -543,11 +548,9 @@ def local_envelope(data: CauchyData, T: float) -> tuple:
         lo, hi = float(np.min(u0)), float(np.max(u0))
     else:
         L = max(data.u0.support_radius, data.u1.support_radius)
-        axis = np.linspace(-L, L, 17)
-        xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-        pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
+        pts = cube_points(np.linspace(-L, L, 17))
         v0 = data.u0(pts)
-        g0 = np.linalg.norm(data.u0.gradient(pts), axis=1)
+        g0 = row_norm(data.u0.gradient(pts))
         v1 = np.abs(data.u1(pts))
         if not (np.all(np.isfinite(v0)) and np.all(np.isfinite(g0)) and np.all(np.isfinite(v1))):
             raise ValueError("unbounded samples in envelope scan")

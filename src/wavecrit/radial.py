@@ -15,7 +15,10 @@ measure, ∫_{ℝ³} f dx = 4π ∫₀^∞ f(r) r² dr.  This module provides
   last-decade tail report and an optional power-law tail correction for
   slowly decaying integrands,
 * kato_norm: sup_y ∫ |f(x)| / |x-y| dx, exact shell formula for radial
-  fields, one FFT convolution over a sample cube for sampled 3D fields,
+  fields, one FFT convolution over a sample cube for sampled 3D fields, in
+  a workspace each thread reuses,
+* row_norm / cube_points: |x| of each row of a point array, and the n³
+  points of a cube,
 * inverse_laplacian_radial: u with -Δu = g and u → 0 at infinity,
 * CSV / JSON serialization for fields.
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
@@ -420,21 +424,64 @@ def _cube_kernel_spectrum(n_side: int) -> NDArray:
     return spectrum
 
 
+_WORKSPACE = threading.local()
+
+
+def _cube_workspace(n_side: int) -> tuple:
+    """This thread's buffers for n_side cubes, made on first use and reused
+    by every later cube of that size: the sample points, the masses padded
+    with zeros along the last axis, and the (2n−2, 2n−2, n) transform."""
+    ws = getattr(_WORKSPACE, "cube", None)
+    if ws is None or len(ws[0]) != n_side:
+        size = 2 * n_side - 2
+        ws = _WORKSPACE.cube = (
+            np.empty((n_side,) * 3 + (3,)),
+            np.zeros((n_side, n_side, size)),
+            np.empty((size, size, n_side), dtype=complex),
+        )
+    return ws
+
+
+def row_norm(p: NDArray) -> NDArray:
+    """Euclidean norm of each row, the squares summed column by column from
+    the left: on (N, 3) points bitwise np.linalg.norm(p, axis=1)."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    acc = p[:, 0] * p[:, 0]
+    for k in range(1, p.shape[1]):
+        acc += p[:, k] * p[:, k]
+    return np.sqrt(acc, out=acc)
+
+
+def cube_points(xs: NDArray, out: Optional[NDArray] = None) -> NDArray:
+    """The n³ points (xs[i], xs[j], xs[k]) as rows i·n² + j·n + k, written
+    into out of shape (n, n, n, 3) when given."""
+    if out is None:
+        out = np.empty((xs.size,) * 3 + (3,))
+    out[..., 0] = xs[:, None, None]
+    out[..., 1] = xs[:, None]
+    out[..., 2] = xs
+    return out.reshape(-1, 3)
+
+
 def _cube_potential(masses: NDArray, h: float, spectrum: NDArray) -> NDArray:
     """Σ_x masses[x] K(x − c) at every cell c of an n³ cube of spacing h,
     by one zero-padded real FFT convolution: K is 1/|x − c| off the cell
     and the equivalent-ball average on it."""
     n = masses.shape[0]
-    size = 2 * n - 2
-    # Axis by axis, so each axis is padded only when it is transformed and
-    # cropped back to the cube as soon as it is inverted.
-    t = rfft(masses, n=size, axis=2)
-    t = fft(t, n=size, axis=1)
-    t = fft(t, n=size, axis=0)
+    _, padded, t = _cube_workspace(n)
+    padded[:, :, :n] = masses
+    # Axis by axis and in place, so each axis is padded only when it is
+    # transformed and cropped back to the cube as soon as it is inverted;
+    # only the pad blocks need zeros again.
+    t[:n, :n] = rfft(padded, axis=2)
+    t[:n, n:] = 0.0
+    t[n:] = 0.0
+    fft(t[:n], axis=1, overwrite_x=True)
+    fft(t, axis=0, overwrite_x=True)
     t *= spectrum
-    t = ifft(t, axis=0, overwrite_x=True)[:n]
-    t = ifft(t, axis=1)[:, :n]
-    return irfft(t, n=size, axis=2)[:, :, :n] / h
+    ifft(t, axis=0, overwrite_x=True)
+    ifft(t[:n], axis=1, overwrite_x=True)
+    return irfft(t[:n, :n], n=2 * n - 2, axis=2)[:, :, :n] / h
 
 
 def _kato_cube(f: Field3D, n_side: int) -> KatoNormResult:
@@ -443,7 +490,7 @@ def _kato_cube(f: Field3D, n_side: int) -> KatoNormResult:
     L = f.support_radius
     xs = np.linspace(-L, L, n_side)
     h = xs[1] - xs[0]
-    pts = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = cube_points(xs, _cube_workspace(n_side)[0])
     samples = f(pts)
     bad = ~np.isfinite(samples)
     if np.any(bad):
@@ -453,8 +500,12 @@ def _kato_cube(f: Field3D, n_side: int) -> KatoNormResult:
             witness_point=pts[k].copy(),
             witness_value=float(samples[k]),
         )
-    vals = np.abs(samples) * h**3
-    radii = np.linalg.norm(pts, axis=1)
+    vals = np.abs(samples)
+    vals *= h**3
+    # |x| of every point, summed in row_norm's order (x² + y²) + z²
+    sq = xs * xs
+    radii = (sq[:, None, None] + sq[:, None]) + sq
+    radii = np.sqrt(radii, out=radii).ravel()
     # Heuristic resolution check: outer shells that keep growing mean the
     # cube cuts the field off, whether or not the field is in the Kato class.
     edges = np.linspace(0.0, L, 6)
@@ -469,7 +520,7 @@ def _kato_cube(f: Field3D, n_side: int) -> KatoNormResult:
             support_radius=L,
         )
     tail_fraction = float(shells[-1] / total) if total > 0 else 0.0
-    del pts, samples, radii  # the transforms need none of them
+    del samples, radii  # the transforms need neither
     potential = _cube_potential(vals.reshape((n_side,) * 3), h, spectrum)
     cell = np.unravel_index(int(np.argmax(potential)), potential.shape)
     return KatoNormResult(
@@ -486,7 +537,9 @@ def kato_norm(f, n_side: int = 41) -> KatoNormResult:
     [−L, L]³, L = support_radius, and convolved with 1/|x| in one
     zero-padded FFT (Hockney & Eastwood 1988): the sup is taken over every
     cube cell, and each cell carries the average of 1/|x| over the ball of
-    its own volume.  A non-finite sample raises KatoClassError naming its
+    its own volume.  The points and the transform live in a workspace that
+    every n_side cube on the calling thread reuses, so fn must not keep the
+    points it is given.  A non-finite sample raises KatoClassError naming its
     cell, before any sample is transformed.  When the mass in the outer
     shells of the cube still grows outward the cube is judged too small for
     the field (a heuristic, not a Kato-class test) and ExtentError is raised

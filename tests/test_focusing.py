@@ -312,11 +312,14 @@ def _reference_infected_mask(mask):
     n_r=st.integers(1, 30),
     n_t=st.integers(1, 30),
     cells=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=8),
-    place=st.sampled_from(["anywhere", "first_column", "last_column", "edge_rows"]),
+    place=st.sampled_from(["anywhere", "first_column", "last_column", "edge_rows", "scattered"]),
 )
 @example(n_r=161, n_t=121, cells=[], place="anywhere")
 def test_infected_mask_matches_full_sweep(n_r, n_t, cells, place):
     mask = np.zeros((n_r, n_t), dtype=bool)
+    if place == "scattered":
+        rng = np.random.default_rng(sum(a + b for a, b in cells))
+        mask = rng.random((n_r, n_t)) < rng.uniform(0.0, 0.2)
     for a, b in cells:
         q, m = a % n_r, b % n_t
         if place == "first_column":

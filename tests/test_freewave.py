@@ -416,11 +416,9 @@ class TestLinePrimitives:
         ahead = np.broadcast_to(R >= np.abs(T), w.shape)
         assert np.array_equal(w[ahead], w_ref[ahead])
         for name in ("origin", "origin_t"):
-            # u_t(0, ·) jumps at |t| = ρ, where the frozen extension starts:
-            # the reference returns the inside limit there, the line
-            # primitives (right-hand pieces at each breakpoint) half of it
-            keep = ts if name == "origin" else ts[np.abs(ts) != rho]
-            got, want = getattr(prop, name)(keep), ref[name](keep)
+            # u_t(0, ·) jumps at |t| = ρ, where the frozen extension starts;
+            # both give the inside limit there
+            got, want = getattr(prop, name)(ts), ref[name](ts)
             assert np.max(np.abs(got - want)) <= _line_tolerance(want), name
 
     @settings(max_examples=25, deadline=None)
@@ -452,6 +450,22 @@ class TestLinePrimitives:
             assert ut.values[0] == prop.origin_t(t)
             assert ut.origin_moment == 0.0
         assert prop.field_t(0.0).origin_moment != 0.0
+
+
+def test_origin_t_at_the_grid_end_is_the_inside_limit():
+    # u_t(0, ·) jumps to 0 at |t| = ρ; exactly there it keeps the inside
+    # limit, not half of it
+    data = CauchyData.from_callables(
+        RadialGrid.uniform(8.0, 801),
+        lambda r: np.exp(-((r - 6) ** 2)),
+        lambda r: np.exp(-((r - 7) ** 2)),
+    )
+    prop = FreePropagator(data)
+    for t, inside in ((8.0, -3.614), (-8.0, -7.423)):
+        assert prop.origin_t(t) == pytest.approx(inside, abs=5e-4)
+        assert prop.origin_t(t - np.sign(t) * 1e-9) == pytest.approx(prop.origin_t(t), rel=1e-8)
+        assert prop.origin_t(t + np.sign(t) * 1e-9) == 0.0
+        assert prop.field_t(t).values[0] == prop.origin_t(t)
 
 
 def _at_with_origin_limit(prop, r, t):

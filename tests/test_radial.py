@@ -1,11 +1,15 @@
 """Grids, fields, quadrature, Kato norms, and the radial inverse Laplacian."""
 
 import json
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import fft, ifft, irfft, rfft
 from scipy.special import erf
 
 from wavecrit import (
@@ -25,7 +29,14 @@ from wavecrit import (
     kato_norm,
     line_integral,
 )
-from wavecrit.radial import _cube_kernel_spectrum, _cube_potential, panel_cumulative
+from wavecrit.errors import WavecritError
+from wavecrit.radial import (
+    _cube_kernel_spectrum,
+    _cube_potential,
+    cube_points,
+    panel_cumulative,
+    row_norm,
+)
 
 PI32 = np.pi ** 1.5  # 4π ∫₀^∞ e^{-r²} r² dr
 
@@ -318,6 +329,199 @@ class TestKatoNorm:
         np.testing.assert_allclose(potential, ref, rtol=1e-12, atol=0.0)
         res = kato_norm(_cube_lookup(values, L), n_side=n_side)
         np.testing.assert_allclose(res.value, ref.max(), rtol=1e-12, atol=0.0)
+
+
+def _reference_cube_potential(masses, h, spectrum):
+    # each axis padded by a fresh copy as it is transformed: the oracle of
+    # the in-place transforms in a reused workspace
+    n = masses.shape[0]
+    size = 2 * n - 2
+    t = rfft(masses, n=size, axis=2)
+    t = fft(t, n=size, axis=1)
+    t = fft(t, n=size, axis=0)
+    t *= spectrum
+    t = ifft(t, axis=0, overwrite_x=True)[:n]
+    t = ifft(t, axis=1)[:, :n]
+    return irfft(t, n=size, axis=2)[:, :, :n] / h
+
+
+def _reference_kato_cube(f, n_side):
+    # the cube with its points by meshgrid and its radii by np.linalg.norm
+    spectrum = _cube_kernel_spectrum(n_side)
+    L = f.support_radius
+    xs = np.linspace(-L, L, n_side)
+    h = xs[1] - xs[0]
+    pts = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    samples = f(pts)
+    bad = ~np.isfinite(samples)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise KatoClassError(
+            f"not in Kato class: sample {samples[k]} at cell {tuple(pts[k].tolist())}",
+            witness_point=pts[k].copy(),
+            witness_value=float(samples[k]),
+        )
+    vals = np.abs(samples) * h**3
+    radii = np.linalg.norm(pts, axis=1)
+    edges = np.linspace(0.0, L, 6)
+    shells = np.array([
+        vals[(radii >= lo) & (radii < hi)].sum() for lo, hi in zip(edges, edges[1:])
+    ])
+    total = vals.sum()
+    if shells[-1] > shells[-2] > shells[-3] > 0:
+        raise ExtentError(
+            "Kato cube does not resolve the field: shell masses grow outward",
+            shell_masses=shells,
+            support_radius=L,
+        )
+    tail_fraction = float(shells[-1] / total) if total > 0 else 0.0
+    potential = _reference_cube_potential(vals.reshape((n_side,) * 3), h, spectrum)
+    cell = np.unravel_index(int(np.argmax(potential)), potential.shape)
+    return (float(potential[cell]), xs[list(cell)], tail_fraction <= 0.05, tail_fraction)
+
+
+def _outcome(run):
+    # every field of a result, or the class, message and payload of an error
+    try:
+        res = run()
+    except WavecritError as exc:
+        return repr((type(exc).__name__, str(exc), sorted(
+            (k, np.asarray(v).tolist()) for k, v in vars(exc).items())))
+    if not isinstance(res, tuple):
+        res = (res.value, res.center, res.resolved, res.tail_fraction)
+    return repr((res[0], np.asarray(res[1]).tolist(), *res[2:]))
+
+
+def _gaussian(center=(0.0, 0.0, 0.0), L=6.0):
+    c = np.asarray(center)
+    return Field3D(fn=lambda p: np.exp(-np.sum((p - c) ** 2, axis=1)), support_radius=L)
+
+
+class TestCubeWorkspace:
+    """The cube reuses one workspace per thread; results are bitwise those of
+    fresh buffers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_side=st.integers(3, 41),
+        L=st.floats(0.5, 10.0),
+        keep=st.floats(0.0, 1.0),
+        exponent=st.floats(-300.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_potential_equals_pad_by_copy(self, n_side, L, keep, exponent, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_side,) * 3
+        h = 2.0 * L / (n_side - 1)
+        spectrum = _cube_kernel_spectrum(n_side)
+        _cube_potential(rng.random(shape), h, spectrum)  # leaves the workspace dirty
+        masses = rng.random(shape) * (rng.random(shape) < keep) * 10.0**exponent
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _reference_cube_potential(masses, h, spectrum)
+            got = _cube_potential(masses, h, spectrum)
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_side=st.integers(3, 41),
+        L=st.floats(0.5, 9.0),
+        center=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        width=st.floats(0.2, 3.0),
+        kind=st.sampled_from(["gaussian", "holes", "ring", "nonfinite"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kato_norm_equals_fresh_buffers(self, n_side, L, center, width, kind, seed):
+        def fn(p):
+            rng = np.random.default_rng(seed)
+            v = np.exp(-np.sum(((p - np.asarray(center)) / width) ** 2, axis=1))
+            if kind == "holes":
+                v *= rng.random(v.size) < 0.5
+            elif kind == "ring":
+                v += np.sum(p * p, axis=1) > 0.5 * L * L
+            elif kind == "nonfinite":
+                v[rng.integers(0, v.size)] = rng.choice([np.nan, np.inf, -np.inf])
+            return v
+
+        f = Field3D(fn=fn, support_radius=L)
+        assert _outcome(lambda: kato_norm(f, n_side)) == _outcome(
+            lambda: _reference_kato_cube(f, n_side)
+        )
+
+    def test_cube_points_is_the_meshgrid_stack(self):
+        xs = np.linspace(-3.0, 3.0, 7)
+        want = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+        assert np.array_equal(cube_points(xs), want)
+        assert np.array_equal(cube_points(xs, np.full((7, 7, 7, 3), np.nan)), want)
+
+    def test_threads_get_the_serial_results(self):
+        fields = [_gaussian((0.3 * k, -0.2 * k, 0.1), 5.0 + k) for k in range(4)]
+        serial = [_outcome(lambda f=f: kato_norm(f, 41)) for f in fields]
+        results = [[] for _ in fields]
+        barrier = threading.Barrier(len(fields))
+
+        def run(k):
+            barrier.wait(timeout=30)
+            for _ in range(3):
+                results[k].append(_outcome(lambda: kato_norm(fields[k], 41)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(fields))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[want] * 3 for want in serial]
+
+    def test_cached_sample_array_is_left_unmodified(self):
+        cached = np.exp(-np.sum(cube_points(np.linspace(-6.0, 6.0, 41)) ** 2, axis=1))
+        before = cached.copy()
+        f = Field3D(fn=lambda p: cached, support_radius=6.0)
+        first, second = _outcome(lambda: kato_norm(f, 41)), _outcome(lambda: kato_norm(f, 41))
+        assert np.array_equal(cached, before)
+        assert first == second == _outcome(lambda: kato_norm(_gaussian(), 41))
+
+    def test_warm_cube_allocates_little(self):
+        # the parent's pad-by-copy transforms peaked at 6.65 MiB here
+        f = _gaussian()
+        kato_norm(f, 41)  # builds this thread's workspace and the spectrum
+        tracemalloc.start()
+        try:
+            kato_norm(f, 41)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
+
+
+class TestRowNorm:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_linalg_norm(self, order):
+        rng = np.random.default_rng(3)
+        p = rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-200.0, 200.0, (500, 3))
+        special = [
+            [0.0, 0.0, 0.0],
+            [-0.0, 0.0, -0.0],
+            [5e-324, 1e-310, -2e-308],
+            [np.inf, 1.0, 0.0],
+            [1.0, -np.inf, np.nan],
+            [np.nan, 0.0, 0.0],
+            [1e300, 1e300, 1e300],
+        ]
+        p = np.asarray(np.vstack([p, special]), order=order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = row_norm(p), np.linalg.norm(p, axis=1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_row(self):
+        for p in ([3.0, 4.0, 12.0], [[3.0, 4.0, 12.0]]):
+            assert row_norm(np.asarray(p)).tobytes() == np.linalg.norm(
+                np.atleast_2d(p), axis=1
+            ).tobytes()
 
 
 class TestInverseLaplacian:
