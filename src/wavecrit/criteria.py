@@ -17,11 +17,19 @@ from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
 
 from .errors import AdmissibilityError, ConfigError, SolitonError
 from .freewave import _SPHERE_NODES, CauchyData, reduce_to_line
-from .radial import Field3D, RadialField, RadialGrid, differentiate, kato_norm, row_norm
+from .radial import (
+    Field3D,
+    RadialField,
+    RadialGrid,
+    cubic_spline,
+    differentiate,
+    kato_norm,
+    row_norm,
+)
 from .transforms import NonlinearityProfile
 
 __all__ = [
@@ -144,16 +152,16 @@ def _stable_min(slack: Callable[[NDArray], NDArray], point_sets: Iterable[NDArra
     return m, pts[k].tolist()
 
 
-def _spline(f: RadialField) -> CubicSpline:
-    return CubicSpline(f.grid.nodes, f.values)
+def _spline(f: RadialField) -> PPoly:
+    return cubic_spline(f.grid.nodes, f.values)
 
 
-def _moment_spline(f: RadialField) -> CubicSpline:
-    return CubicSpline(f.grid.nodes, f.moment())
+def _moment_spline(f: RadialField) -> PPoly:
+    return cubic_spline(f.grid.nodes, f.moment())
 
 
-def _derivative_spline(f: RadialField) -> CubicSpline:
-    return CubicSpline(f.grid.nodes, differentiate(f).values)
+def _derivative_spline(f: RadialField) -> PPoly:
+    return cubic_spline(f.grid.nodes, differentiate(f).values)
 
 
 def _laplacian_fn(f: RadialField) -> Callable[[NDArray], NDArray]:
@@ -257,8 +265,8 @@ def oned_positivity(xs: NDArray, u0: NDArray, u1: NDArray) -> Verdict:
         raise ConfigError("oned_positivity needs at least 4 strictly increasing sample points")
     if u0.shape != xs.shape or u1.shape != xs.shape:
         raise ConfigError("sample arrays must share the grid shape")
-    sp0 = CubicSpline(xs, u0)
-    prim = CubicSpline(xs, u1).antiderivative()
+    sp0 = cubic_spline(xs, u0)
+    prim = cubic_spline(xs, u1).antiderivative()
     pts = np.union1d(xs, 0.5 * (xs[1:] + xs[:-1]))
     vals = sp0(pts) - np.abs(prim(pts))
     k = int(np.argmin(vals))

@@ -34,10 +34,19 @@ from typing import Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import PPoly
 
 from .errors import ExtentError
-from .radial import _GL_NODES, _GL_WEIGHTS, Field3D, RadialField, RadialGrid, cube_points, row_norm
+from .radial import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    Field3D,
+    RadialField,
+    RadialGrid,
+    cube_points,
+    cubic_spline,
+    row_norm,
+)
 
 __all__ = [
     "CauchyData",
@@ -129,7 +138,7 @@ def reduce_to_line(u: RadialField) -> RadialField:
     if u.parity != "even":
         raise ValueError("shell reduction expects an even radial profile")
     m = u.moment()
-    vals = CubicSpline(u.grid.nodes, m).derivative()(u.grid.nodes)
+    vals = cubic_spline(u.grid.nodes, m).derivative()(u.grid.nodes)
     if u.origin_moment == 0.0:
         vals[0] = u.values[0]
     return RadialField(u.grid, vals, parity="even")
@@ -138,7 +147,7 @@ def reduce_to_line(u: RadialField) -> RadialField:
 def lift_from_line(shell: RadialField) -> RadialField:
     """Inverse of reduce_to_line: u(r) = (1/r)∫₀^r T, u(0) = T(0)."""
     r = shell.grid.nodes
-    anti = CubicSpline(r, shell.values).antiderivative()(r)
+    anti = cubic_spline(r, shell.values).antiderivative()(r)
     vals = np.empty_like(anti)
     vals[1:] = anti[1:] / r[1:]
     vals[0] = shell.values[0]
@@ -189,7 +198,7 @@ def _half_lines(nodes: NDArray, values: NDArray):
     cubic spline, on [0, 2ρ].  Beyond ±ρ a straight piece freezes the
     profile at values[-1]."""
     rho = float(nodes[-1])
-    P = CubicSpline(nodes, values).antiderivative()
+    P = cubic_spline(nodes, values).antiderivative()
     # mirrored piece on [-x_{i+1}, -x_i]: q(s) = -p_i(h_i - s), re-expanded
     # by a Taylor shift of p_i to h_i (Horner), then s ↦ -s
     h = np.diff(nodes)
@@ -230,8 +239,8 @@ class FreePropagator:
         x = np.concatenate([[-2 * self._rho], -r[:0:-1], r, [2 * self._rho]])
         plus_behind, plus_ahead = _half_lines(r, pair.plus.values)
         minus_behind, minus_ahead = _half_lines(r, pair.minus.values)
-        self._psi_out = PPoly(np.hstack([minus_behind, plus_ahead]), x)
-        self._psi_in = PPoly(np.hstack([plus_behind, minus_ahead]), x)
+        self._psi_out = PPoly.construct_fast(np.hstack([minus_behind, plus_ahead]), x)
+        self._psi_in = PPoly.construct_fast(np.hstack([plus_behind, minus_ahead]), x)
         # a 1/r pole of the velocity: Ψ' jumps at the origin by r u₁ there
         self._pole = bool(pair.plus.values[0] != pair.minus.values[0])
 
@@ -502,7 +511,7 @@ def as_general(data: CauchyData) -> CauchyData:
     r_max = data.grid.r_max
 
     def lift(field: RadialField) -> Field3D:
-        s = CubicSpline(field.grid.nodes, field.values)
+        s = cubic_spline(field.grid.nodes, field.values)
         d1, d2 = s.derivative(), s.derivative(2)
         origin = 3 * d2(0.0)
 

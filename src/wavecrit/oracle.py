@@ -13,10 +13,10 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, ConvergenceError
 from .freewave import CauchyData
+from .radial import cubic_spline
 
 __all__ = [
     "FDRun",
@@ -188,7 +188,7 @@ def _solve_arrays(
         if j == n_steps:
             break
         if pending == _ENERGY_BLOCK:
-            energy_values[done:j] = _pair_energy(rows[:-1], rows[1:], h, k)
+            energy_values[done:j] = _pair_energy(rows, h, k)
             rows[0], done, pending = rows[-1], j, 0
         with np.errstate(over="ignore", invalid="ignore"):
             if j == 0:
@@ -223,7 +223,7 @@ def _solve_arrays(
         w_prev, w_cur = w_cur, w_next
 
     en_count = done + pending
-    energy_values[done:en_count] = _pair_energy(rows[:pending], rows[1 : pending + 1], h, k)
+    energy_values[done:en_count] = _pair_energy(rows[: pending + 1], h, k)
     if not taken:
         taken_times, taken = [0.0], [_u_of(w0, radii, h)]
     return FDRun(
@@ -243,10 +243,12 @@ def _solve_arrays(
     )
 
 
-def _pair_energy(w_a: NDArray, w_b: NDArray, h: float, k: float):
-    # Staggered leapfrog invariant of each pair of rows, exact for the free scheme.
-    kinetic = np.sum(((w_b - w_a) / k) ** 2, axis=-1)
-    grad = np.sum(np.diff(w_a) * np.diff(w_b), axis=-1) / (h * h)
+def _pair_energy(rows: NDArray, h: float, k: float):
+    # Staggered leapfrog invariant of each pair of consecutive rows, exact for
+    # the free scheme; each row is differenced in space once.
+    kinetic = np.sum(((rows[1:] - rows[:-1]) / k) ** 2, axis=-1)
+    d = np.diff(rows, axis=-1)
+    grad = np.sum(d[:-1] * d[1:], axis=-1) / (h * h)
     return 4.0 * np.pi * h * 0.5 * (kinetic + grad)
 
 
@@ -280,8 +282,8 @@ def fd_solve(
     n = int(np.floor(r_top / h + 1e-9)) + 1
     radii = h * np.arange(n)
     nodes = data.grid.nodes
-    w0 = CubicSpline(nodes, data.u0.moment())(radii)
-    w1 = CubicSpline(nodes, data.u1.moment())(radii)
+    w0 = cubic_spline(nodes, data.u0.moment())(radii)
+    w1 = cubic_spline(nodes, data.u1.moment())(radii)
     return _solve_arrays(radii, w0, w1, rhs, horizon, cfl, threshold, snapshot_times)
 
 

@@ -25,12 +25,12 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from .errors import InvertibilityError
 from .freewave import CauchyData
-from .radial import Field3D, RadialField, _power_tail, panel_cumulative
+from .radial import Field3D, RadialField, _power_tail, cubic_spline, panel_cumulative
 
 __all__ = [
     "EndpointClassification",
@@ -94,7 +94,7 @@ class NonlinearityProfile:
         self,
         f: Callable[[NDArray], NDArray],
         ts: NDArray,
-        g: CubicSpline,
+        g: PPoly,
         f_table: NDArray,
         classification: EndpointClassification,
         name: str = "custom",
@@ -106,7 +106,7 @@ class NonlinearityProfile:
         self.b = classification.b
         self._ts = ts
         self._g = g
-        self._F = CubicSpline(ts, f_table)
+        self._F = cubic_spline(ts, f_table)
         self._Fp = self._F.derivative()
         self._F_table = f_table
         self.working_range = (float(ts[0]), float(ts[-1]))
@@ -231,7 +231,7 @@ def build_profile(
 
     ts = np.concatenate([ts_left[::-1][:-1], ts_right])
     g_values = np.concatenate([g_left[::-1][:-1], g_right])
-    g_spline = CubicSpline(ts, g_values)
+    g_spline = cubic_spline(ts, g_values)
     f_table = panel_cumulative(lambda s: np.exp(-g_spline(s)), ts_right)
     f_table_left = panel_cumulative(lambda s: np.exp(-g_spline(s)), ts_left)
     full_table = np.concatenate([f_table_left[::-1][:-1], f_table])

@@ -7,9 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.fft import fft, ifft, irfft, rfft
+from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
 from wavecrit import (
@@ -34,6 +35,7 @@ from wavecrit.radial import (
     _cube_kernel_spectrum,
     _cube_potential,
     cube_points,
+    cubic_spline,
     panel_cumulative,
     row_norm,
 )
@@ -189,6 +191,93 @@ class TestPanelCumulative:
         xs = np.linspace(0.0, 5.0, 23)
         vals = panel_cumulative(lambda x: np.exp(-x), xs)
         assert np.all(np.diff(vals) > 0)
+
+
+def _spline_grid(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    span = 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "uniform":
+        return np.linspace(0.0, span, n)
+    if kind == "graded":
+        return span * np.linspace(0.0, 1.0, n) ** rng.uniform(1.5, 4.0)
+    gaps = rng.exponential(1.0, n - 1) + 1e-3
+    return rng.uniform(-100.0, 100.0) + span * np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+class TestCubicSpline:
+    """cubic_spline is scipy's not-a-knot CubicSpline, bit for bit: scipy
+    stays the oracle, so a scipy release that changes its arithmetic fails
+    here first."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "graded", "random"]),
+        n=st.one_of(
+            st.integers(4, 12), st.integers(13, 7000), st.sampled_from([161, 801, 1601, 6401])
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        lo=st.floats(-323.0, 300.0),
+        width=st.floats(0.0, 300.0),
+    )
+    def test_equals_scipy(self, kind, n, seed, lo, width):
+        x = _spline_grid(kind, n, seed)
+        rng = np.random.default_rng(seed + 1)
+        exponents = rng.uniform(lo, min(lo + width, 300.0), n)
+        y = rng.standard_normal(n) * 10.0**exponents
+        mids = 0.5 * (x[1:] + x[:-1])
+        event(f"{kind}, n {'< 100' if n < 100 else '>= 100'}")
+        with np.errstate(all="ignore"):
+            try:
+                want = CubicSpline(x, y)
+            except ValueError:  # node slopes overflow
+                event("slopes overflow")
+                with pytest.raises(ValueError):
+                    cubic_spline(x, y)
+                return
+            got = cubic_spline(x, y)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.c.tobytes() == want.c.tobytes()
+            for pts in (x, mids):
+                assert got(pts).tobytes() == want(pts).tobytes()
+            for a, b in (
+                (got.derivative(1), want.derivative(1)),
+                (got.derivative(2), want.derivative(2)),
+                (got.antiderivative(), want.antiderivative()),
+            ):
+                assert a.c.tobytes() == b.c.tobytes()
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 1.0, 2.0]),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, np.inf, 2.0]),
+            ([0.0, 1.0, np.inf, 3.0], [0.0, 1.0, 2.0, 3.0]),
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]),
+            ([0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]),
+            ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0]),
+            ([[0.0, 1.0, 2.0, 3.0]], [[0.0, 1.0, 2.0, 3.0]]),
+        ],
+        ids=["nan-y", "inf-y", "inf-x", "three-nodes", "repeated-x", "decreasing-x",
+             "short-y", "2d"],
+    )
+    def test_rejects_bad_input(self, x, y):
+        with pytest.raises(ValueError):
+            cubic_spline(np.asarray(x), np.asarray(y))
+
+    def test_overflowing_slopes_raise_as_in_scipy(self):
+        x, y = np.linspace(0.0, 1e-10, 6), 1e300 * (-1.0) ** np.arange(6)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError):
+                CubicSpline(x, y)
+            with pytest.raises(ValueError):
+                cubic_spline(x, y)
+
+    def test_leaves_inputs_unshared(self):
+        x, y = np.linspace(0.0, 1.0, 9), np.arange(9.0)
+        s = cubic_spline(x, y)
+        x[:] = 0.0
+        assert s.x[-1] == 1.0 and s.c[3, -1] == 7.0
 
 
 def _reference_potential(masses, h):
