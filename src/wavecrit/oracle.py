@@ -4,9 +4,15 @@ Everything here is deliberately independent of the exact solvers: the scheme
 works on the substitution w = r u, for which the radial Laplacian becomes a
 plain second derivative and the origin condition is w(0, t) = 0.  Runs are
 used as cross-checks only; no analytic structure of either equation enters.
+
+The stepper writes every temporary into a few length-n buffers made once per
+call, and each new level straight into its row of the energy block; no state
+outlives a call.  The arrays of an FDRun are fresh: they share no memory with
+each other or with any other run.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
@@ -14,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, GridError
 from .freewave import CauchyData
 from .radial import cubic_spline
 
@@ -112,19 +118,20 @@ def _normalize_rhs(rhs: RhsSpec):
     raise ConfigError(f"unknown rhs family {rhs[0]!r}")
 
 
-def _u_of(w: NDArray, radii: NDArray, h: float) -> NDArray:
-    u = np.empty_like(w)
-    u[1:] = w[1:] / radii[1:]
-    # u(0) from w = r u: (4 w_1 - w_2) / (2h) is O(h^2) and avoids 0/0.
-    u[0] = (4.0 * w[1] - w[2]) / (2.0 * h)
+def _u_of(w: NDArray, radii: NDArray, h: float, out: Optional[NDArray] = None) -> NDArray:
+    # u(0) = (4 w_1 - w_2) / (2h) is O(h^2) and avoids 0/0; read first, as out may be w
+    origin = (4.0 * w.item(1) - w.item(2)) / (2.0 * h)
+    u = np.empty_like(w) if out is None else out
+    np.divide(w[1:], radii[1:], out=u[1:])
+    u[0] = origin
     return u
 
 
-def _u_r(u: NDArray, h: float) -> NDArray:
-    du = np.empty_like(u)
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+def _u_r(u: NDArray, h: float, out: Optional[NDArray] = None) -> NDArray:
+    du = np.empty_like(u) if out is None else out
+    np.divide(np.subtract(u[2:], u[:-2], out=du[1:-1]), 2.0 * h, out=du[1:-1])
     du[0] = 0.0
-    du[-1] = (u[-1] - u[-2]) / h
+    du[-1] = (u.item(-1) - u.item(-2)) / h
     return du
 
 
@@ -150,77 +157,98 @@ def _solve_arrays(
 
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, horizon, 9)
-    snap_steps = sorted({int(round(t / k)) for t in np.atleast_1d(snapshot_times)})
+    snap_steps = set()
+    for t in np.atleast_1d(snapshot_times):
+        step = int(round(t / k)) if np.isfinite(t) else -1
+        if not 0 <= step <= n_steps:
+            raise ConfigError(
+                f"snapshot time {float(t)!r} is outside [0, horizon]",
+                time=float(t), horizon=horizon,
+            )
+        snap_steps.add(step)
 
-    # r * nonlinearity(u, u_t, u_r), 0 identically in free mode.  Overflow
-    # past the threshold is expected and caught as non-finite.
-    def source(u: NDArray, w: NDArray):
-        return 0.0 if mode == "free" else sign * np.abs(u) ** exponent * w
+    # Per-call work buffers, the Laplacian's end entries 0 throughout; tmp
+    # carries w_t -> u_t -> source -> acceleration in turn.
+    lap, base, u, ur2, rf, tmp = np.zeros((6, radii.size))
+    inner = lap[1:-1]
 
-    def null_source(u: NDArray):
-        # u, u_r and f(u) are fixed within a step: only u_t varies with w_t
-        ur = _u_r(u, h)
-        rf, ur2 = radii * f(u), ur * ur
-        return lambda w_t: rf * (np.square(_u_of(w_t, radii, h)) - ur2)
+    # scale * (Laplacian + r * nonlinearity(u, u_t, u_r)) into tmp; the source
+    # is 0 in free mode.  Overflow past the threshold is caught as non-finite.
+    def accel(scale: float, w_t: Optional[NDArray] = None) -> NDArray:
+        src = 0.0
+        if mode == "power":
+            src = np.abs(u, out=tmp)
+            src **= exponent
+            np.multiply(np.multiply(sign, src, out=src), w_cur, out=src)
+        elif mode == "null":
+            # u, u_r and f(u) are fixed within a step: only u_t varies with w_t
+            src = np.square(_u_of(w_t, radii, h, out=tmp), out=tmp)
+            np.multiply(rf, np.subtract(src, ur2, out=src), out=src)
+        return np.multiply(scale, np.add(lap, src, out=tmp), out=tmp)
 
-    def lap(w: NDArray) -> NDArray:
-        out = np.zeros_like(w)
-        out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
-        return out
-
-    u = _u_of(w0, radii, h)
-    taken_times, taken = ([0.0], [u]) if 0 in snap_steps else ([], [])
-
-    w_cur = w0.copy()
-    w_cur[0] = 0.0
     status, t_detect, step_index = "completed", None, None
-    # levels w_done .. w_{done + pending}; their staggered energies are
-    # evaluated together once the buffer is full and after the loop
+    # levels w_done .. w_{done + pending}, each stepped straight into its row;
+    # their staggered energies are evaluated together once the block is full
     rows = np.empty((min(n_steps, _ENERGY_BLOCK) + 1, radii.size))
-    rows[0] = w_cur
+    w_cur = rows[0]
+    w_cur[:] = w0
+    w_cur[0] = 0.0
     energy_values, done, pending = np.empty(n_steps), 0, 0
 
-    for j in range(n_steps + 1):
-        # u is level j, tested before any step past it
-        if np.max(np.abs(u)) > threshold:
-            status, t_detect = "blew-up", j * k
-            break
-        if j == n_steps:
-            break
-        if pending == _ENERGY_BLOCK:
-            energy_values[done:j] = _pair_energy(rows, h, k)
-            rows[0], done, pending = rows[-1], j, 0
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        _u_of(w0, radii, h, out=u)
+        top = np.abs(u, out=tmp).max()
+        taken_times, taken = ([0.0], [u.copy()]) if 0 in snap_steps else ([], [])
+        for j in range(n_steps + 1):
+            # u is level j, tested before any step past it
+            if top > threshold:
+                status, t_detect = "blew-up", j * k
+                break
+            if j == n_steps:
+                break
+            if pending == _ENERGY_BLOCK:
+                energy_values[done:j] = _pair_energy(rows, h, k)
+                rows[0], done, pending = rows[-1], j, 0
+            w_next = rows[pending + 1]
+            np.multiply(2.0, w_cur[1:-1], out=inner)
+            np.divide(np.add(np.subtract(w_cur[2:], inner, out=inner), w_cur[:-2], out=inner),
+                      h * h, out=inner)
+            if mode == "null":
+                _u_r(u, h, out=ur2)
+                np.multiply(ur2, ur2, out=ur2)
+                np.multiply(radii, f(u), out=rf)
             if j == 0:
                 # Taylor first step: second order, uses the prescribed velocity exactly.
-                rhs0 = null_source(u)(w1) if mode == "null" else source(u, w_cur)
-                w_next = w_cur + k * w1 + 0.5 * k * k * (lap(w_cur) + rhs0)
+                np.add(w_cur, np.multiply(k, w1, out=w_next), out=w_next)
+                np.add(w_next, accel(0.5 * k * k, w1), out=w_next)
             else:
-                base, accel = 2.0 * w_cur - w_prev, lap(w_cur)
+                np.subtract(np.multiply(2.0, w_cur, out=base), w_prev, out=base)
                 if mode == "null":
                     # u_t enters the source: one predictor, two centered correctors.
-                    src = null_source(u)
-                    w_next = base + kk * (accel + src((w_cur - w_prev) / k))
+                    np.divide(np.subtract(w_cur, w_prev, out=tmp), k, out=tmp)
+                    np.add(base, accel(kk, tmp), out=w_next)
                     for _ in range(2):
-                        w_next = base + kk * (accel + src((w_next - w_prev) / (2.0 * k)))
+                        np.divide(np.subtract(w_next, w_prev, out=tmp), 2.0 * k, out=tmp)
+                        np.add(base, accel(kk, tmp), out=w_next)
                 else:
-                    w_next = base + kk * (accel + source(u, w_cur))
-        w_next[0] = 0.0
-        # Outer node frozen at its initial value: any reflection stays outside
-        # probed radii when r_max >= probe + horizon, and the free scheme then
-        # conserves its staggered energy exactly.
-        w_next[-1] = w_cur[-1]
+                    np.add(base, accel(kk), out=w_next)
+            w_next[0] = 0.0
+            # Outer node frozen at its initial value: any reflection stays outside
+            # probed radii when r_max >= probe + horizon, and the free scheme then
+            # conserves its staggered energy exactly.
+            w_next[-1] = w_cur[-1]
 
-        if not np.all(np.isfinite(w_next)):
-            status, step_index = "unstable", j + 1
-            break
-        pending += 1
-        rows[pending] = w_next
-        u = _u_of(w_next, radii, h)
-        if j + 1 in snap_steps:
-            taken_times.append((j + 1) * k)
-            taken.append(u)
-        w_prev, w_cur = w_cur, w_next
+            _u_of(w_next, radii, h, out=u)
+            top = np.abs(u, out=tmp).max()
+            # each w_i, i >= 1, enters u_i: a finite sup|u| means a finite w
+            if not math.isfinite(top) and not np.all(np.isfinite(w_next)):
+                status, step_index = "unstable", j + 1
+                break
+            pending += 1
+            if j + 1 in snap_steps:
+                taken_times.append((j + 1) * k)
+                taken.append(u.copy())
+            w_prev, w_cur = w_cur, w_next
 
     en_count = done + pending
     energy_values[done:en_count] = _pair_energy(rows[: pending + 1], h, k)
@@ -252,6 +280,15 @@ def _pair_energy(rows: NDArray, h: float, k: float):
     return 4.0 * np.pi * h * 0.5 * (kinetic + grad)
 
 
+def _uniform_radii(r_top: float, h: float) -> NDArray:
+    """Nodes 0, h, 2h, ... up to r_top; the leapfrog needs three of them."""
+    n = int(np.floor(r_top / h + 1e-9)) + 1 if h > 0 else 0
+    if n < 3:
+        raise GridError(f"grid too coarse: h = {h} gives {n} nodes, the leapfrog needs 3",
+                        h=h, nodes=n)
+    return h * np.arange(n)
+
+
 def fd_solve(
     data: CauchyData,
     rhs: RhsSpec,
@@ -267,7 +304,8 @@ def fd_solve(
     The data are resampled onto a uniform step-h grid through their moment
     splines, so velocities carrying a 1/r pole are handled exactly.  Choose
     the data grid with r_max at least probe radius + horizon; the outflow
-    boundary is then immaterial for probed values.
+    boundary is then immaterial for probed values.  Each snapshot time is
+    taken at its nearest step, which must lie in the run (0 to horizon).
     """
     if data.symmetry != "radial":
         raise ConfigError("the reference solver is radial only")
@@ -279,8 +317,7 @@ def fd_solve(
             requested=r_top,
             available=grid_max,
         )
-    n = int(np.floor(r_top / h + 1e-9)) + 1
-    radii = h * np.arange(n)
+    radii = _uniform_radii(r_top, h)
     nodes = data.grid.nodes
     w0 = cubic_spline(nodes, data.u0.moment())(radii)
     w1 = cubic_spline(nodes, data.u1.moment())(radii)
@@ -290,6 +327,9 @@ def fd_solve(
 def discrete_energy(run: FDRun) -> dict:
     """Staggered energy history with its relative drift."""
     values = run.energy_values
+    if not values.size:
+        raise ConfigError(f"no energy history (status {run.status}, t_detect {run.t_detect})",
+                          status=run.status, t_detect=run.t_detect)
     scale = max(abs(values[0]), 1e-300)
     return {
         "times": run.energy_times,
@@ -335,8 +375,7 @@ def convergence_order(scenario: Mapping, hs: Sequence[float]) -> float:
 
     profiles = []
     for h in hs:
-        n = int(np.floor(r_top / h + 1e-9)) + 1
-        radii = h * np.arange(n)
+        radii = _uniform_radii(r_top, h)
         w0, w1 = _scenario_arrays(scenario, radii)
         run = _solve_arrays(
             radii, w0, w1, scenario.get("rhs"), horizon, cfl,

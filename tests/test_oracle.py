@@ -13,6 +13,7 @@ from wavecrit import (
     ConfigError,
     ConvergenceError,
     Field3D,
+    GridError,
     RadialField,
     RadialGrid,
     build_profile,
@@ -299,6 +300,32 @@ def test_radial_data_required():
         fd_solve(CauchyData(bump, bump), None, 1.0, h=0.04)
 
 
+@pytest.mark.parametrize("h, nodes", [(20.0, 1), (5.0, 2)])
+def test_grid_of_fewer_than_three_nodes_rejected(h, nodes):
+    with pytest.raises(GridError, match="too coarse") as exc:
+        fd_solve(gaussian(), None, 1.0, h=h)
+    assert (exc.value.h, exc.value.nodes) == (h, nodes)
+    with pytest.raises(GridError) as exc:
+        convergence_order(dict(FREE_SCENARIO, r_max=8.0), [4 * h, 2 * h, h])
+    assert (exc.value.h, exc.value.nodes) == (4 * h, 1)
+
+
+def test_energy_of_a_run_stopped_at_its_data_rejected():
+    grid = RadialGrid.uniform(8.0, 161)
+    data = pair(lambda r: 10.0 * np.exp(-(r**2)), zeros, grid)
+    run = fd_solve(data, None, 1.0, h=0.05, threshold=5.0)
+    with pytest.raises(ConfigError, match="no energy history") as exc:
+        discrete_energy(run)
+    assert (exc.value.status, exc.value.t_detect) == ("blew-up", 0.0)
+
+
+@pytest.mark.parametrize("times, bad", [([-0.5, 0.3, 2.0], -0.5), ([2.0], 2.0), ([0.5, np.nan], np.nan)])
+def test_snapshot_times_outside_the_run_rejected(times, bad):
+    with pytest.raises(ConfigError, match="outside") as exc:
+        fd_solve(gaussian(), None, 1.0, h=0.04, r_max=6.0, snapshot_times=times)
+    np.testing.assert_equal(exc.value.time, bad)
+
+
 def test_snapshot_sampling_and_write(tmp_path):
     run = fd_solve(gaussian(), None, 1.0, h=0.04, r_max=6.0,
                    snapshot_times=[0.0, 0.5, 1.0])
@@ -538,3 +565,87 @@ class TestBlockedLoop:
         want = _reference_solve_arrays(*args)
         assert want.status == "unstable" and want.energy_values.size == energies
         assert_same_run(_solve_arrays(*args), want)
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+class TestBufferedStep:
+    """Exits of the buffered step loop: a NaN-only level, and u = w / r
+    overflowing while w is finite (sup|u| is not finite, w is).  Exits at
+    level 0 or 1 are tested at the data and after the Taylor step, which the
+    per-step reference does not do; there the reference run is compared with
+    that exit put in."""
+
+    @staticmethod
+    def _stopped_early(args, status, t_detect=None, step_index=None):
+        radii, w0 = args[:2]
+        run = _reference_solve_arrays(*args)
+        return dataclasses.replace(
+            run, status=status, t_detect=t_detect, step_index=step_index,
+            snapshot_times=np.zeros(1), snapshots=_u_of(w0, radii, run.h)[None],
+            energy_times=np.zeros(0), energy_values=np.zeros(0),
+        )
+
+    def test_nan_without_inf_in_the_taylor_source(self):
+        # at nodes m +- 1 both u_t^2 and u_r^2 overflow, so the null source is
+        # inf - inf, and no other node overflows: the first step is NaN, not inf
+        radii, m = 0.01 * np.arange(201), 100
+        w0, w1 = np.zeros(201), np.zeros(201)
+        w0[m], w1[[m - 1, m + 1]] = 1e155, 1e156
+        ut2, ur2 = _u_of(w1, radii, 0.01) ** 2, _u_r(_u_of(w0, radii, 0.01), 0.01) ** 2
+        assert np.array_equal(np.flatnonzero(np.isinf(ut2)), [m - 1, m + 1])
+        assert np.array_equal(np.flatnonzero(np.isinf(ur2)), [m - 1, m + 1])
+        args = (radii, w0, w1, RHS_MODES["null-const"], 1.0, 0.8, np.inf, None)
+        assert_same_run(_solve_arrays(*args), self._stopped_early(args, "unstable", step_index=1))
+
+    def test_nan_without_inf_in_a_leapfrog_step(self):
+        # level 1 is finite with w_10 = 1.09e308, so at the next step 2 w_10 is
+        # +inf and the Laplacian there -inf: their sum is NaN, every other node
+        # stays finite (h = 1 keeps the Laplacian finite elsewhere)
+        radii, w0, w1 = np.arange(21.0), np.zeros(21), np.zeros(21)
+        w0[10], w1[10] = 8e307, 1e308
+        args = (radii, w0, w1, None, 8.0, 0.8, np.inf, [0.0, 0.8])
+        want = _reference_solve_arrays(*args)
+        assert (want.status, want.step_index) == ("unstable", 2)
+        assert 9e307 < want.snapshots[1, 10] * radii[10] < np.inf
+        assert_same_run(_solve_arrays(*args), want)
+
+    @pytest.mark.parametrize("threshold, exit", [(1e8, ("blew-up", 0.0, None)),
+                                                 (np.inf, ("unstable", None, 1))])
+    def test_u_overflowing_at_r_h_in_the_data(self, threshold, exit):
+        # w_1 = 1e307 is finite, u_1 = w_1 / 0.01 is not; at threshold inf the
+        # Taylor step's Laplacian overflows
+        radii, w0 = 0.01 * np.arange(201), np.zeros(201)
+        w0[1] = 1e307
+        args = (radii, w0, np.zeros(201), None, 1.0, 0.8, threshold, None)
+        got = _solve_arrays(*args)
+        assert np.isinf(got.snapshots[0, 1])
+        assert_same_run(got, self._stopped_early(args, *exit))
+
+    @pytest.mark.parametrize("threshold, exit", [(1e8, ("blew-up", 3.2, None)),
+                                                 (np.inf, ("unstable", None, 3))])
+    def test_u_overflowing_at_the_origin_after_two_steps(self, threshold, exit):
+        # amplitude bisected so that level 2 has 4.5e307 < w_1 < 9e307: finite,
+        # but u_0 = (4 w_1 - w_2) / 2h overflows in 4 w_1.  Below the threshold
+        # the run must go on, to go unstable at step 3
+        radii = 2.0 * np.arange(21)
+        w0 = radii * 1.66748046875 * np.exp(-((radii / 3.0) ** 2))
+        args = (radii, w0, np.zeros(21), ("power", 100, 1), 12.8, 0.8, threshold,
+                1.6 * np.arange(3))
+        want = _reference_solve_arrays(*args)
+        assert (want.status, want.t_detect, want.step_index) == exit
+        assert np.isinf(want.snapshots[2, 0]) and 4.5e307 < want.snapshots[2, 1] * 2.0 < 9e307
+        assert_same_run(_solve_arrays(*args), want)
+
+    def test_run_arrays_are_fresh(self):
+        data = small_data()
+        first = fd_solve(data, ("null", lambda u: np.ones_like(u)), 1.0, h=0.02, r_max=7.0)
+        fields = ("snapshots", "energy_values", "energy_times")
+        kept = {name: getattr(first, name).copy() for name in fields}
+        for i, a in enumerate(fields):
+            for b in fields[i + 1:]:
+                assert not np.shares_memory(getattr(first, a), getattr(first, b)), (a, b)
+        second = fd_solve(pair(lambda r: np.exp(-(r**2)), zeros), ("null", np.sin), 1.0,
+                          h=0.02, r_max=7.0)
+        for name in fields:
+            assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
+            assert np.array_equal(getattr(first, name), kept[name]), name
