@@ -174,34 +174,6 @@ def sine_kernel_radial(f: RadialField, t: float) -> RadialField:
 # ---------------------------------------------------------------------------
 # lattice Duhamel map
 
-# Positive quadrature weights for j uniform intervals: trapezoid (j=1),
-# composite Simpson (even j), Simpson plus a 3/8 block (odd j >= 3).
-# Positivity of every weight is what transfers kernel positivity to the
-# iteration.
-
-
-def _time_sums(E: NDArray) -> NDArray:
-    """S[:, j] = Σ_{m<j} w_j[m] E[:, m] for every j, from one prefix sum.
-
-    Read from the left, the Simpson weights are s_m = 1/3, 4/3, 2/3, 4/3, ...
-    whatever j is, so with Q[p] = Σ_{m<p} s_m E[m]: S[1] = E[0]/2, S[j] = Q[j]
-    for even j, and S[j] = Q[j-3] + c E[j-3] + 9/8 (E[j-2] + E[j-1]) for odd
-    j >= 3, where c = 3/8 at j = 3 and 1/3 + 3/8 beyond.
-    """
-    n_t = E.shape[1]
-    s = np.where(np.arange(n_t - 1) % 2, 4.0 / 3.0, 2.0 / 3.0)
-    s[:1] = 1.0 / 3.0
-    S = np.zeros_like(E)
-    np.cumsum(E[:, :-1] * s, axis=1, out=S[:, 1:])
-    if n_t > 1:
-        S[:, 1] = 0.5 * E[:, 0]
-    if n_t > 3:  # odd j >= 3, reading m = j - 3, j - 2, j - 1
-        c = np.where(np.arange(3, n_t, 2) == 3, 3.0 / 8.0, 17.0 / 24.0)
-        m3, m2, m1 = (slice(k, n_t - 3 + k, 2) for k in range(3))
-        S[:, 3::2] = S[:, m3] + c * E[:, m3] + 9.0 / 8.0 * (E[:, m2] + E[:, m1])
-    return S
-
-
 def _uniform_spacing(grid: RadialGrid) -> float:
     gaps = np.diff(grid.nodes)
     h = float(gaps[0])
@@ -233,37 +205,90 @@ def _power_source(values: NDArray, exponent: float, cap: float) -> NDArray:
     return np.sign(u) * np.abs(u) ** (exponent + 1.0)
 
 
-def _duhamel_lattice(
-    free: NDArray, source: NDArray, nodes: NDArray, exponent: float, cap: float
-) -> NDArray:
-    """free + ∫₀^t kernel[|source|^N source](s) ds on the uniform lattice.
+def _strided(a: NDArray, start: int, shape: Tuple[int, ...], steps: Tuple[int, ...]) -> NDArray:
+    # view of a's buffer from element start, steps counted in elements;
+    # numpy refuses any view that reaches outside the buffer
+    offset = start * a.itemsize if min(shape) > 0 else 0
+    return np.ndarray(shape, a.dtype, a, offset, [k * a.itemsize for k in steps])
+
+
+# Positive quadrature weights for j uniform intervals: trapezoid (j=1),
+# composite Simpson (even j), Simpson plus a 3/8 block (odd j >= 3).
+# Positivity of every weight is what transfers kernel positivity to the
+# iteration.
+
+
+def _lattice_map(nodes: NDArray, n_t: int) -> Callable[[NDArray, NDArray, float, float], NDArray]:
+    """free, source ↦ free + ∫₀^t kernel[|source|^N source](s) ds on the lattice.
 
     With the time step equal to the node spacing, both kernel limits land
     exactly on nodes: out[i, j] = free[i, j] + dt/(2 r_i) Σ_{m<j} w_j[m]
-    (M̃[i+j-m, m] - M̃[i-j+m, m]), where M̃[x, m] = M[min(|x|, n_r-1), m] is
-    the cumulative moment of slice m, reflected at the origin and frozen at
-    the top node.  As m runs, the first term stays on the anti-diagonal
-    k = i + j and the second on the diagonal d = i - j, so each is one
-    weighted prefix sum along a gathered row, read back at column j.  The
-    origin row sums the moment density r f itself along anti-diagonals.
+    (M̃[i+j-m, m] - M̃[i-j+m, m]), M̃ the cumulative moment of slice m,
+    reflected at the origin and frozen at the top node in one padded buffer.
+    The terms stay on the anti-diagonal k = i + j and the diagonal d = i - j,
+    and the origin row sums g = r f along anti-diagonals: strided views,
+    summed time-major.  Read from the left, the Simpson weights are s_m =
+    1/3, 4/3, 2/3, 4/3, ... whatever j is, so with Q[p] = Σ_{m<p} s_m E[m]:
+    S[1] = E[0]/2, S[j] = Q[j] for even j, and S[j] = Q[j-3] + c E[j-3] +
+    9/8 (E[j-2] + E[j-1]) for odd j >= 3, c = 3/8 at j = 3, 1/3 + 3/8 beyond.
+    Each call rewrites all it reads, so one map serves every iterate.
     """
-    n_r, n_t = source.shape
+    n_r = nodes.size
+    off, K = n_t - 1, n_r + n_t - 1
+    w, one = n_t + 2 * K, n_t  # workspace width; row of M̃[1, ·] in P and of g[1, ·] in G
     dt = nodes[1] - nodes[0]
-    g = nodes[:, None] * _power_source(source, exponent, cap)
-    M = np.zeros((n_r, n_t))
-    np.cumsum(0.5 * (g[1:] + g[:-1]) * dt, axis=0, out=M[1:])
-    m = np.arange(n_t)
-    row = np.arange(n_r + n_t - 1)[:, None]
-    # flat indices of M̃[k - m, m] with k = row, and of M̃[d + m, m] with d = row - (n_t - 1)
-    along = np.minimum(np.abs(row - m), n_r - 1) * n_t + m
-    across = np.minimum(np.abs(row - (n_t - 1) + m), n_r - 1) * n_t + m
-    i, j = np.arange(1, n_r)[:, None], m[1:]
-    A = _time_sums(M.ravel()[along]).ravel()[(i + j) * n_t + j]
-    B = _time_sums(M.ravel()[across]).ravel()[(i - j + n_t - 1) * n_t + j]
-    out = free.copy()
-    out[1:, 1:] += dt * (0.5 / nodes[1:, None]) * (A - B)
-    out[0, 1:] += dt * np.diagonal(_time_sums(g.ravel()[along[:n_t]]))[1:]
-    return out
+    scale = dt * (0.5 / nodes[1:, None])
+    s = np.where(np.arange(n_t - 1) % 2, 4.0 / 3.0, 2.0 / 3.0)[:, None]
+    s[:1] = 1.0 / 3.0
+    c = np.where(np.arange(3, n_t, 2) == 3, 3.0 / 8.0, 17.0 / 24.0)
+    P = np.zeros((off + K, n_t))  # M̃[x, m] in row off + x, x = -off .. K - 1
+    G = np.zeros((off + n_r, n_t))  # g[x, m] in row off + x, zero below the origin
+    W = np.zeros((n_t, w))  # time-major columns: origin k, anti-diagonal k, diagonal d + off
+    families = [
+        (_strided(G, off * n_t, (n_t - 1, n_t), (1 - n_t, n_t)), W[1:, :n_t]),  # g[k - m, m]
+        (_strided(P, off * n_t, (n_t - 1, K), (1 - n_t, n_t)), W[1:, n_t:n_t + K]),  # M̃[k - m, m]
+        (_strided(P, 0, (n_t - 1, K), (n_t + 1, n_t)), W[1:, n_t + K:]),  # M̃[d + m, m]
+    ]
+    rows = [(W[p - 1], W[p]) for p in range(2, n_t)]
+    # S[j] at (i, j) on the origin, k and d; Q[j-3], E[j-b] there for odd j >= 3
+    reads, odd = [], []
+    for start, step, width, lag in (
+        (w + 1, w + 1, 1, lambda b: G[one + b - 1:one + b]),
+        (w + n_t + 2, w + 1, n_r - 1, lambda b: P[one + b:one + n_r - 1 + b]),
+        (w + n_t + K + off, w - 1, n_r - 1, lambda b: P[one - b:one + n_r - 1 - b]),
+    ):
+        reads.append(_strided(W, start, (width, n_t - 1), (1, step)))
+        if n_t > 3:
+            Q = _strided(W, start + 2 * step - 3 * w, (width, c.size), (1, 2 * step))
+            odd.append((reads[-1][:, 2::2], Q, *(lag(b)[:, 3 - b:n_t - b:2] for b in (3, 2, 1))))
+    origin, A, B = reads
+
+    def apply(free: NDArray, source: NDArray, exponent: float, cap: float) -> NDArray:
+        g, M = G[off:], P[one:off + n_r]
+        np.multiply(nodes[:, None], _power_source(source, exponent, cap), out=g)
+        np.cumsum(0.5 * (g[1:] + g[:-1]) * dt, axis=0, out=M)
+        P[:off] = P[2 * off:off:-1]
+        P[off + n_r:] = P[off + n_r - 1]
+        for E, sums in families:
+            np.multiply(E, s, out=sums)
+        for prev, row in rows:
+            np.add(prev, row, out=row)
+        for E, sums in families:
+            np.multiply(E[:1], 0.5, out=sums[:1])
+        for S, Q, e3, e2, e1 in odd:
+            S[...] = Q + c * e3 + 9.0 / 8.0 * (e2 + e1)
+        out = free.copy()
+        out[1:, 1:] += scale * (A - B)
+        out[0, 1:] += dt * origin[0]
+        return out
+
+    return apply
+
+
+def _duhamel_lattice(
+    free: NDArray, source: NDArray, nodes: NDArray, exponent: float, cap: float
+) -> NDArray:
+    return _lattice_map(nodes, source.shape[1])(free, source, exponent, cap)
 
 
 def _infected_mask(mask: NDArray) -> NDArray:
@@ -303,8 +328,7 @@ def duhamel_apply(
     if source.shape[1] > nodes.size:
         raise ExtentError("more time columns than nodes", shape=source.shape)
     times = data.grid.spacing * np.arange(source.shape[1])
-    free = _free_lattice(data, times)
-    return _duhamel_lattice(free, source, nodes, exponent, cap)
+    return _duhamel_lattice(_free_lattice(data, times), source, nodes, exponent, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +365,7 @@ class IterationState:
 
     @property
     def diverged_fraction(self) -> float:
-        trusted_count = int(np.sum(self.trusted))
-        if trusted_count == 0:
-            return 0.0
+        trusted_count = max(int(np.sum(self.trusted)), 1)
         return float(np.sum(self.divergence_mask & self.trusted) / trusted_count)
 
 
@@ -413,26 +435,22 @@ def monotone_iterate(
     trace: List[dict] = []
     history = [u.copy()] if keep_history else None
 
+    apply = _lattice_map(nodes, times.size)
+    n_trusted = max(int(np.sum(trusted)), 1)
     converged = False
     n = 0
     for n in range(1, n_max + 1):
-        new_u = _duhamel_lattice(free, u, nodes, N, cap)
-        new_mask = _infected_mask(mask | (np.abs(new_u) > cap))
+        new_u = apply(free, u, N, cap)
+        over = np.abs(new_u) > cap
+        # the mask is cone-closed, so only a node newly over the cap can grow it
+        new_mask = _infected_mask(mask | over) if np.any(over & ~mask) else mask
         new_u[new_mask] = np.inf
-        live = trusted & ~new_mask & ~mask
-        sup_change = (
-            float(np.max(np.abs(new_u[live] - u[live]))) if np.any(live) else 0.0
-        )
+        live = trusted & ~new_mask  # the new mask holds the old one
+        change = np.subtract(new_u, u, out=np.zeros_like(u), where=live)
+        sup_change = float(np.max(np.abs(change)))
         floor, u, mask = u, new_u, new_mask
-        trace.append(
-            {
-                "n": n,
-                "sup_change": sup_change,
-                "diverged_fraction": float(
-                    np.sum(mask & trusted) / max(int(np.sum(trusted)), 1)
-                ),
-            }
-        )
+        fraction = float(np.sum(mask & trusted) / n_trusted)
+        trace.append({"n": n, "sup_change": sup_change, "diverged_fraction": fraction})
         if history is not None:
             history.append(u.copy())
         if sup_change < tol:

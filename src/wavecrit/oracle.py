@@ -249,9 +249,9 @@ def _solve_arrays(
                 taken_times.append((j + 1) * k)
                 taken.append(u.copy())
             w_prev, w_cur = w_cur, w_next
+        en_count = done + pending
+        energy_values[done:en_count] = _pair_energy(rows[: pending + 1], h, k)
 
-    en_count = done + pending
-    energy_values[done:en_count] = _pair_energy(rows[: pending + 1], h, k)
     if not taken:
         taken_times, taken = [0.0], [_u_of(w0, radii, h)]
     return FDRun(

@@ -31,9 +31,14 @@ from wavecrit import (
     supercritical_envelope,
     supersolution_check,
 )
+from wavecrit import focusing
 from wavecrit.focusing import (
+    DEFAULT_CAP,
     _duhamel_lattice,
+    _free_lattice,
     _infected_mask,
+    _lattice_map,
+    _lattice_times,
     _power_source,
     _scaled_velocity_data,
 )
@@ -278,6 +283,73 @@ def test_lattice_apply_matches_double_loop(n_r, fill, N, cap, seed):
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _gather_time_sums(E):
+    # S[:, j] = Σ_{m<j} w_j[m] E[:, m] for every j, from one prefix sum
+    n_t = E.shape[1]
+    s = np.where(np.arange(n_t - 1) % 2, 4.0 / 3.0, 2.0 / 3.0)
+    s[:1] = 1.0 / 3.0
+    S = np.zeros_like(E)
+    np.cumsum(E[:, :-1] * s, axis=1, out=S[:, 1:])
+    if n_t > 1:
+        S[:, 1] = 0.5 * E[:, 0]
+    if n_t > 3:  # odd j >= 3, reading m = j - 3, j - 2, j - 1
+        c = np.where(np.arange(3, n_t, 2) == 3, 3.0 / 8.0, 17.0 / 24.0)
+        m3, m2, m1 = (slice(k, n_t - 3 + k, 2) for k in range(3))
+        S[:, 3::2] = S[:, m3] + c * E[:, m3] + 9.0 / 8.0 * (E[:, m2] + E[:, m1])
+    return S
+
+
+def _gather_duhamel(free, source, nodes, exponent, cap):
+    # the lattice map as it was before its workspace: the anti-diagonal,
+    # diagonal and origin families gathered by index arrays on every call,
+    # summed along their rows and read back at column j; kept as the oracle
+    # whose every bit the map keeps
+    n_r, n_t = source.shape
+    dt = nodes[1] - nodes[0]
+    g = nodes[:, None] * _power_source(source, exponent, cap)
+    M = np.zeros((n_r, n_t))
+    np.cumsum(0.5 * (g[1:] + g[:-1]) * dt, axis=0, out=M[1:])
+    m = np.arange(n_t)
+    row = np.arange(n_r + n_t - 1)[:, None]
+    along = np.minimum(np.abs(row - m), n_r - 1) * n_t + m
+    across = np.minimum(np.abs(row - (n_t - 1) + m), n_r - 1) * n_t + m
+    i, j = np.arange(1, n_r)[:, None], m[1:]
+    A = _gather_time_sums(M.ravel()[along]).ravel()[(i + j) * n_t + j]
+    B = _gather_time_sums(M.ravel()[across]).ravel()[(i - j + n_t - 1) * n_t + j]
+    out = free.copy()
+    out[1:, 1:] += dt * (0.5 / nodes[1:, None]) * (A - B)
+    out[0, 1:] += dt * np.diagonal(_gather_time_sums(g.ravel()[along[:n_t]]))[1:]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_r=st.integers(2, 60),
+    fill=st.floats(0.0, 1.0),
+    N=st.sampled_from([0.0, 4.0]),
+    cap=st.sampled_from([np.inf, 1.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_r=161, fill=0.5, N=4.0, cap=1.0e6, seed=0)
+def test_lattice_map_keeps_every_bit_of_the_gathers(n_r, fill, N, cap, seed):
+    # n_t from 1 to n_r; sources over the cap and ±inf; one map applied to
+    # several sources, so no value may outlive the call that wrote it
+    n_t = 1 + int(round(fill * (n_r - 1)))
+    rng = np.random.default_rng(seed)
+    nodes = 0.05 * np.arange(n_r)
+    apply = _lattice_map(nodes, n_t)
+    for infinite in (0.0, 0.03, 0.0):
+        free = rng.normal(size=(n_r, n_t))
+        source = rng.normal(scale=2.0, size=(n_r, n_t))
+        source[rng.random(source.shape) < infinite] = np.inf
+        source[rng.random(source.shape) < infinite] = -np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _gather_duhamel(free, source, nodes, N, cap)
+            got = apply(free, source, N, cap)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize(
     "q,m", [(0, 0), (1, 0), (7, 3), (20, 0), (20, 9), (12, 10)]
 )
@@ -373,6 +445,56 @@ def test_ground_data_converge_to_ground_state():
     for older, newer in zip(state.history, state.history[1:]):
         live = state.trusted & np.isfinite(older) & np.isfinite(newer)
         assert np.min((newer - older)[live]) > -1e-12  # pointwise nondecreasing
+
+
+def _reference_iterate(data, N, horizon, cap, tol, n_max):
+    # the iteration loop before the lattice map: gathers on every iterate,
+    # and the mask recomputed in full every time
+    nodes = data.grid.nodes
+    times = _lattice_times(data.grid, horizon)
+    trusted = nodes[:, None] + times[None, :] <= data.grid.r_max + 1e-9
+    free = _free_lattice(data, times)
+    u = free.copy()
+    mask = _infected_mask(np.abs(u) > cap)
+    u[mask] = np.inf
+    trace = []
+    for n in range(1, n_max + 1):
+        new_u = _gather_duhamel(free, u, nodes, N, cap)
+        new_mask = _infected_mask(mask | (np.abs(new_u) > cap))
+        new_u[new_mask] = np.inf
+        live = trusted & ~new_mask & ~mask
+        sup_change = float(np.max(np.abs(new_u[live] - u[live]))) if np.any(live) else 0.0
+        u, mask = new_u, new_mask
+        fraction = float(np.sum(mask & trusted) / max(int(np.sum(trusted)), 1))
+        trace.append({"n": n, "sup_change": sup_change, "diverged_fraction": fraction})
+        if sup_change < tol:
+            break
+    return u, mask, trace
+
+
+@pytest.mark.parametrize("scale, horizon", [(0.8, 3.0), (1.2, 2.5)])
+def test_iterate_builds_one_map_and_masks_only_on_growth(scale, horizon, monkeypatch):
+    # below the threshold the mask never grows past the initial one; above it
+    # the iterates, mask and trace are those of the loop before the map
+    data = ground_data(scale)
+    u, mask, trace = _reference_iterate(data, 4.0, horizon, DEFAULT_CAP, 1e-6, 200)
+    calls = {"_lattice_map": 0, "_infected_mask": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(focusing, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(focusing, name, counted)
+    state = monotone_iterate(data, 4, horizon, tol=1e-6)
+    assert state.converged and state.n == len(trace) > 2
+    assert state.trace == trace
+    assert np.array_equal(state.u_n, u) and np.array_equal(state.divergence_mask, mask)
+    assert calls["_lattice_map"] == 1
+    if scale < 1.0:
+        assert state.diverged_fraction == 0.0 and calls["_infected_mask"] == 1
+    else:
+        assert state.diverged_fraction == trace[-1]["diverged_fraction"] > 0.0
+        assert 1 < calls["_infected_mask"] <= state.n
 
 
 def random_case_ii_family(rng, grid=GRID):
