@@ -97,20 +97,17 @@ class BlowupReport:
     side: str
 
 
-def _level_slack(prop: FreePropagator, side: str, a: float, b: float):
+def _level_slack(prop: FreePropagator, side: str, a: float, b: float, sign: int):
+    """Distance of u at time sign·t to the side's endpoint: the slack over
+    radii, slack(rs, t), and at the origin, origin(ts)."""
     if side == "lower":
-        return lambda rs, t: prop.at(rs, t) - a
-    return lambda rs, t: b - prop.at(rs, t)
+        return (lambda rs, t: prop.at(rs, sign * t) - a, lambda ts: prop.origin(sign * ts) - a)
+    return (lambda rs, t: b - prop.at(rs, sign * t), lambda ts: b - prop.origin(sign * ts))
 
 
-_SCAN_POINTS = 1 << 14  # (times × radii) points per block of the first-touch scan
+_SCAN_POINTS = 1 << 14  # (times × radii) points per _row_mins call of the cone scan
 _ROUNDING = 1024 * np.finfo(float).eps  # noise of _first_touch per unit of S + |c|
 _MERGE = 4  # ulps within which the edge counts as the node below it
-# blocked points that cost as much as one cone row taken alone (building it,
-# its FreePropagator.at call, the refine and the skip): 67-84 µs against
-# 0.050-0.065 µs per blocked point on 161-3201 nodes, one pinned x86_64 core,
-# numpy 2.4; a row's parabola vertex, when it needs one, is a second at call
-_LONE_ROW = 1300
 
 
 def _refine_rows(slack, ts, rs, vals, lengths):
@@ -176,72 +173,42 @@ def _cone_rows(nodes, r0: float, ts):
     return _layout_rows(nodes, *_row_layout(nodes, r0, ts))
 
 
-def _row_mins(slack, ts, rs, lengths):
+def _row_mins(slack, ts, rs, lengths, zero):
     """Refined minimum of slack over each padded row and its radius, from one
-    broadcast evaluation plus one for the vertices."""
-    vals = slack(rs, ts[:, None])
+    broadcast evaluation on r > 0 plus one for the vertices; zero holds each
+    row's value at its first point, the origin."""
+    vals = np.concatenate([zero[:, None], slack(rs[:, 1:], ts[:, None])], axis=1)
     vals[np.arange(rs.shape[1]) >= lengths[:, None]] = np.inf
     return _refine_rows(slack, ts, rs, vals, lengths)
 
 
-def _cone_mins(slack, nodes, r0: float, ts):
+def _cone_mins(slack, origin, nodes, r0: float, ts):
     """Refined minimum of slack over the shrinking cone and its radius, for
-    each time in ts."""
-    return _row_mins(slack, ts, *_cone_rows(nodes, r0, ts))
-
-
-def _skip_clear_rows(slack, nodes, r0: float, ts, lip: float, noise: float):
-    """Certified start of the scan: one row at a time, each followed by a
-    jump over the rows the Lipschitz bound proves touch-free, until the rows
-    a row skips hold fewer than _LONE_ROW points.
-
-    Returns (index of a touching row, its touch radius) or (index of the
-    first row neither evaluated nor skipped, None).  See _first_touch for
-    the bound.
-    """
-    if not math.isfinite(lip):
-        return 0, None
-    layout = _row_layout(nodes, r0, ts)
-    edge, _, origin, coarse, width = layout
-    r_min = np.where(coarse, edge / 32.0, nodes[1])  # smallest positive radius of each row
-    eps = np.where(origin, noise, noise * (1.0 + nodes[-1] / r_min))
-    i = 0
-    while i < ts.size:
-        rs, lengths = _layout_rows(nodes, *(part[i : i + 1] for part in layout))
-        m, loc = _row_mins(slack, ts[i : i + 1], rs, lengths)
-        if m[0] <= 0.0:
-            return i, float(loc[0])
-        gap = float(np.max(np.diff(rs[0, : lengths[0]]), initial=0.0))
-        reach = m[0] - eps[i] - lip * gap / 4.0 - lip * (ts[i + 1 :] - ts[i])
-        clear = reach > eps[i + 1 :]
-        skip = clear.size if clear.all() else int(np.argmin(clear))
-        saved = int(width[i + 1 : i + 1 + skip].sum())
-        i += 1 + skip
-        if saved < _LONE_ROW:
-            break
-    return i, None
+    each time in ts; origin gives the slack at r = 0."""
+    return _row_mins(slack, ts, *_cone_rows(nodes, r0, ts), origin(ts))
 
 
 def _first_touch(
-    slack, nodes, r0: float, lip: float, noise: float, scan: int = 1024, tol: float = 1e-10
+    slack, origin, nodes, r0: float, lip: float, noise: float, scan: int = 1024,
+    tol: float = 1e-10,
 ):
     """Earliest t ≥ 0 with min over the shrinking cone ≤ 0: scan then bisect.
 
     The scan times are those of a plain scan, ts = linspace(0, r0, scan + 1),
     and the first of them whose refined cone minimum is ≤ 0 brackets the
-    bisection.  Rows are first taken one at a time, each followed by a skip
-    (Piyavskii–Shubert) over the later times that cannot touch: with
-    |∂_t slack| ≤ lip and |∂_r slack| ≤ lip/2, a row at time t whose
-    evaluated points have largest gap g and refined minimum m > 0 keeps the
-    true slack ≥ m - ε(t) - lip·g/4 on its whole segment, and so
-    ≥ m - ε(t) - lip·g/4 - lip·(t' - t) on every later row, which lies
-    inside it.  A time t' where that exceeds ε(t') evaluates to > 0 and is
-    skipped.  Once the rows a row skips hold fewer than _LONE_ROW points,
-    which cost less to evaluate in a block than that row cost alone, the
-    remaining times go through _cone_mins in blocks of about _SCAN_POINTS
-    (times × radii) points, stopping at the first block that holds a touch;
-    the block size only bounds memory and is not a setting.  lip = ∞ is the
-    plain blocked scan.
+    bisection.  The scan runs in rounds: a round evaluates the next count
+    times neither evaluated nor skipped in one _row_mins call and stops at
+    the first row that touches.  Otherwise it skips (Piyavskii–Shubert) the
+    later times that cannot touch: with |∂_t slack| ≤ lip and
+    |∂_r slack| ≤ lip/2, a row at time t whose evaluated points have largest
+    gap g and refined minimum m > 0 keeps the true slack ≥ m - ε(t) - lip·g/4
+    on its whole segment, and so ≥ m - ε(t) - lip·g/4 - lip·(t' - t) on every
+    later row, which lies inside it.  A time t' where the largest of these
+    over the round's rows exceeds ε(t') evaluates to > 0 and is skipped.
+    count then restarts at 1 when the skip passed more rows than the scan
+    has evaluated so far, and doubles otherwise, up to _SCAN_POINTS over the
+    widest row, a bound on memory and not a setting.  lip = ∞ skips nothing:
+    the plain scan in blocks.
 
     ε(t) = noise·(1 + ρ/r_min(t)) bounds the rounding of every evaluated
     slack value on row t, where ρ = nodes[-1] and r_min is the row's smallest
@@ -255,51 +222,74 @@ def _first_touch(
     r ≥ r_min/2, since it falls between the midpoints next to its node.
     Hence ε ≤ 256·eps·(S + |c|)(1 + ρ/r_min); _locate_blowup passes four
     times that as noise, which also covers the rounding of lip, of the gaps,
-    of the time differences and of the mirrored pieces of Ψ (re-expanded, so
-    w(0, t) = 0 holds to rounding only).
+    of the times and of the mirrored pieces of Ψ (re-expanded, so w(0, t) = 0
+    holds to rounding only).
 
     The bisection halves the bracket [lo, hi] at mid = 0.5·(lo + hi),
     keeping [lo, mid] when mid touches (minimum ≤ 0) and [mid, hi]
-    otherwise, until hi - lo ≤ tol.  It runs in rounds on a midpoint tree: a round
-    computes every midpoint that its next d halvings can visit, 2^d - 1
-    times in heap order, evaluates them in one _cone_mins call and then
-    walks the tree by the same rule.  So it visits the same midpoints, in
-    the same order, as halving one midpoint at a time, even where touching
-    is not monotone in t.  d minimises the cost per halving,
-    (_LONE_ROW + (2^d - 1)·width)/d in blocked points with width the
-    bracket's widest row, and is at most the halvings still needed: d = 4
-    on the 33-point rows near the cone tip, d = 1 (one midpoint per call)
-    on rows of _LONE_ROW points or more.
+    otherwise, until hi - lo ≤ tol.  It runs in rounds on a midpoint tree: a
+    round computes every midpoint that its next d halvings can visit,
+    2^d - 1 times in heap order, evaluates them in one _cone_mins call and
+    then walks the tree by the same rule.  So it visits the same midpoints,
+    in the same order, as halving one midpoint at a time, even where
+    touching is not monotone in t.  d is 1 in the first round and grows by
+    one per round, at most the halvings still needed and with 2^d - 1 rows
+    of the bracket's widest row within _SCAN_POINTS.
     """
     ts = np.linspace(0.0, r0, scan + 1)
-    i, hi_loc = _skip_clear_rows(slack, nodes, r0, ts, lip, noise)
-    if hi_loc is None:
-        step = max(1, _SCAN_POINTS // (int(np.searchsorted(nodes, r0)) + 1))  # t = 0 is widest
-        for start in range(i, ts.size, step):
-            m, loc = _cone_mins(slack, nodes, r0, ts[start : start + step])
-            hit = np.flatnonzero(m <= 0.0)
-            if hit.size:
-                break
-        else:
-            raise WitnessError(
-                "criterion-failure witness inconsistent: no boundary touch inside the cone",
-                window=float(r0),
-            )
-        i, hi_loc = start + int(hit[0]), float(loc[hit[0]])
-    if i == 0:
-        return float(ts[0]), hi_loc
-    return _bisect_touch(slack, nodes, r0, float(ts[i - 1]), float(ts[i]), hi_loc, tol)
+    layout = _row_layout(nodes, r0, ts)
+    edge, k, _, coarse, lengths = layout
+    r_min = np.where(coarse, edge / 32.0, nodes[1])  # smallest positive radius of each row
+    eps = np.where(edge <= 0.0, noise, noise * (1.0 + nodes[-1] / r_min))
+    below = np.maximum(k - 1, 0)  # the last node below the edge
+    widest = np.concatenate([[0.0], np.maximum.accumulate(np.diff(nodes))])  # up to node j
+    gap = np.where(coarse, edge / 32.0, np.maximum(widest[below], edge - nodes[below]))
+    if math.isfinite(lip):
+        # the bound of row j on a later row t' is m_j + low_j - lip·t'
+        low, high = lip * ts - lip * gap / 4.0 - eps, lip * ts + eps
+    else:  # nothing to skip
+        low, high = np.full(ts.size, -np.inf), np.full(ts.size, np.inf)
+    zero = origin(ts)
+    cap = max(1, _SCAN_POINTS // int(lengths.max()))
+    i = evaluated = 0
+    count = 1
+    while i < ts.size:
+        part = slice(i, i + count)
+        m, loc = _row_mins(
+            slack, ts[part], *_layout_rows(nodes, *(p[part] for p in layout)), zero[part]
+        )
+        hit = np.flatnonzero(m <= 0.0)
+        if hit.size:
+            i, hi_loc = i + int(hit[0]), float(loc[hit[0]])
+            break
+        i += m.size
+        evaluated += m.size
+        clear = np.max(m + low[part]) > high[i:]
+        skip = clear.size if clear.all() else int(np.argmin(clear))
+        i += skip
+        count = 1 if skip > evaluated else min(2 * count, cap)
+    else:
+        raise WitnessError(
+            "criterion-failure witness inconsistent: no boundary touch inside the cone",
+            window=float(r0),
+        )
+    lo = float(ts[max(i - 1, 0)])  # a touch at t = 0 leaves nothing to bisect
+    return _bisect_touch(slack, origin, nodes, r0, lo, float(ts[i]), hi_loc, tol)
 
 
-def _bisect_touch(slack, nodes, r0: float, lo: float, hi: float, hi_loc: float, tol: float):
+def _bisect_touch(
+    slack, origin, nodes, r0: float, lo: float, hi: float, hi_loc: float, tol: float
+):
     """The bisection of _first_touch on the bracket [lo, hi], hi touching at
     radius hi_loc, by rounds on a midpoint tree: (t, radius) of its last
     touching midpoint, or (hi, hi_loc) when none touches."""
     width = int(_row_layout(nodes, r0, np.array([lo]))[-1][0])  # the bracket's widest row
+    deepest = max(1, (_SCAN_POINTS // width + 1).bit_length() - 1)  # 2^d - 1 rows fit
+    depth = 0
     while hi - lo > tol:
-        depth = _tree_depth(width, math.ceil(math.log2((hi - lo) / tol)))
+        depth = min(depth + 1, deepest, math.ceil(math.log2((hi - lo) / tol)))
         tree = _midpoint_tree(lo, hi, depth)
-        m, loc = _cone_mins(slack, nodes, r0, tree)
+        m, loc = _cone_mins(slack, origin, nodes, r0, tree)
         j = 0
         while j < tree.size and hi - lo > tol:
             if m[j] <= 0.0:
@@ -307,13 +297,6 @@ def _bisect_touch(slack, nodes, r0: float, lo: float, hi: float, hi_loc: float, 
             else:
                 lo, j = float(tree[j]), 2 * j + 2
     return hi, hi_loc
-
-
-def _tree_depth(width: int, halvings: int) -> int:
-    """Depth d ≤ halvings of the midpoint tree with the least cost per
-    halving, (_LONE_ROW + (2^d - 1)·width)/d in blocked points."""
-    d = np.arange(1, max(halvings, 1) + 1)
-    return int(d[np.argmin((_LONE_ROW + (2.0**d - 1.0) * width) / d)])
 
 
 def _midpoint_tree(lo: float, hi: float, depth: int):
@@ -392,19 +375,16 @@ def _locate_blowup(
     scale = size + 2.0 * pair.grid.r_max * lip  # S of _first_touch: sup|Ψ'| ≤ size + ρ·lip/2
     touches = []
     for r0, sign, side in candidates:
-        slack = _level_slack(prop, side, a, b)
-        signed = lambda rs, t, s=sign, f=slack: f(rs, s * t)
         noise = _ROUNDING * (scale + abs(a if side == "lower" else b))
-        t_abs, r1 = _first_touch(signed, r, r0, lip, noise)
+        t_abs, r1 = _first_touch(*_level_slack(prop, side, a, b, sign), r, r0, lip, noise)
         touches.append((t_abs, 0 if sign > 0 else 1, sign, side, r0, r1))
     touches.sort(key=lambda rec: rec[:2])
     t_abs, _, sign, side, r0, r1 = touches[0]
 
     rate = (math.nan, math.nan)
     if fit_rate:
-        slack = _level_slack(prop, side, a, b)
-        signed = lambda rs, t, s=sign, f=slack: f(rs, s * t)
-        rate = _log_rate_fit(signed, profile, side, t_abs, r1)
+        slack, _ = _level_slack(prop, side, a, b, sign)
+        rate = _log_rate_fit(slack, profile, side, t_abs, r1)
     return BlowupReport(
         t0=sign * t_abs, x0_radius=r1, window=r0, log_rate_fit=rate, side=side
     )

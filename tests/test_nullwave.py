@@ -207,13 +207,28 @@ def _reference_first_touch(slack, nodes, r0, scan=1024, tol=1e-10):
     return hi, hi_loc
 
 
+def _whole_row_mins(slack, nodes, r0, ts):
+    """_cone_mins from one slack evaluation of each whole row, origin
+    included, kept as the oracle of the rows evaluated on r > 0 beside a
+    separate origin column."""
+    rs, lengths = _cone_rows(nodes, r0, ts)
+    vals = slack(rs, ts[:, None])
+    vals[np.arange(rs.shape[1]) >= lengths[:, None]] = np.inf
+    return nullwave._refine_rows(slack, ts, rs, vals, lengths)
+
+
+def _origin_of(slack):
+    """The origin argument of _first_touch for a slack over (r, t)."""
+    return lambda ts: slack(np.zeros_like(ts), ts)
+
+
 def _blocked_first_touch(slack, nodes, r0, scan=1024, tol=1e-10):
     """The scan over every time in blocks of cone rows, kept as the oracle of
     the certified scan."""
     ts = np.linspace(0.0, r0, scan + 1)
     step = max(1, nullwave._SCAN_POINTS // (int(np.searchsorted(nodes, r0)) + 1))
     for start in range(0, ts.size, step):
-        m, loc = _cone_mins(slack, nodes, r0, ts[start : start + step])
+        m, loc = _whole_row_mins(slack, nodes, r0, ts[start : start + step])
         hit = np.flatnonzero(m <= 0.0)
         if hit.size:
             break
@@ -231,7 +246,7 @@ def _plain_bisection(slack, nodes, r0, lo, hi, hi_loc, tol):
     tree."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        m, loc = _cone_mins(slack, nodes, r0, np.array([mid]))
+        m, loc = _whole_row_mins(slack, nodes, r0, np.array([mid]))
         if m[0] <= 0.0:
             hi, hi_loc = mid, float(loc[0])
         else:
@@ -242,7 +257,7 @@ def _plain_bisection(slack, nodes, r0, lo, hi, hi_loc, tol):
 def _without_bounds(find):
     """find in the place of _first_touch, ignoring the Lipschitz bound and
     rounding noise that detect_blowup passes."""
-    return lambda slack, nodes, r0, lip, noise: find(slack, nodes, r0)
+    return lambda slack, origin, nodes, r0, lip, noise: find(slack, nodes, r0)
 
 
 def _rounding_noise(slack, r, t):
@@ -255,7 +270,7 @@ def _rounding_noise(slack, r, t):
     return float(np.ptp(vals - np.polyval(np.polyfit(dr, vals, 1), dr)))
 
 
-def _assert_scan_matches_reference(slack, nodes, r0):
+def _assert_scan_matches_reference(slack, origin, nodes, r0):
     """Rows, node minima and refined minima of the blocked scan against the
     row-by-row oracle at every scan time.  Where the oracle's minimum is a
     refined parabola vertex, the blocked scan places its vertex by another
@@ -266,7 +281,7 @@ def _assert_scan_matches_reference(slack, nodes, r0):
         warnings.simplefilter("error")
         rs, lengths = _cone_rows(nodes, r0, ts)
         vals = slack(rs, ts[:, None])
-        mins, _ = _cone_mins(slack, nodes, r0, ts)
+        mins, _ = _cone_mins(slack, origin, nodes, r0, ts)
     for j, t in enumerate(ts):
         row = _reference_cone_row(nodes, r0, t)
         row_vals = slack(row, t)
@@ -287,6 +302,18 @@ def _touch_or_error(find, *args):
         return None
 
 
+# _SCAN_POINTS for the scan and tree properties, in rows of a given width:
+# one point, 3, 8 or 40 rows, or the default.  So rounds of one row and
+# trees of depth 1, doubling capped at 3, 8 and 40 rows (trees of depth 2,
+# 3 and 5), and the default cap
+_ROWS = st.sampled_from([0, 3, 8, 40, None])
+
+
+def _set_scan_points(mp, rows, width):
+    if rows is not None:
+        mp.setattr(nullwave, "_SCAN_POINTS", max(1, rows * width))
+
+
 class TestConeScan:
     def test_refine_quiet_when_edge_within_an_ulp_of_a_node(self):
         # 161 nodes on [0, 8], r0 = 1.1, t = 0.75: the edge lies 5.55e-17
@@ -304,7 +331,7 @@ class TestConeScan:
         assert rs[0, lengths[0] - 2] == nodes[7]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            m, loc = _cone_mins(slack, nodes, r0, np.array([t]))
+            m, loc = _cone_mins(slack, _origin_of(slack), nodes, r0, np.array([t]))
             ref = _reference_cone_min(slack, nodes, r0, t)
         # the edge counts as node 7, the row's end: no parabola there
         assert (m[0], loc[0]) == ref == (slack(nodes[7], t), nodes[7])
@@ -323,23 +350,21 @@ class TestConeScan:
         centre=st.floats(0.0, 1.0),
         wiggle=st.floats(0.0, 0.3),
         freq=st.floats(0.5, 20.0),
-        block=st.one_of(st.just(1), st.integers(2, 1 << 15)),
-        lone=st.sampled_from([0, nullwave._LONE_ROW]),
+        rows=_ROWS,
     )
     # row 736 ends 1 ulp past node 27, which holds its minimum: the edge
     # counts as node 27, the row's end, where neither scan fits a parabola
     # (a polyfit through two points an ulp apart put its vertex anywhere in
     # [node 26, edge], once 4e-4 below the node)
     @example(n=1024, k=96, mode="free", level=1.0, drop=0.5, curve=2.0, centre=0.0,
-             wiggle=0.1875, freq=19.625, block=1, lone=0)
+             wiggle=0.1875, freq=19.625, rows=0)
     def test_first_touch_matches_reference_on_model_slack(
-        self, n, k, mode, level, drop, curve, centre, wiggle, freq, block, lone
+        self, n, k, mode, level, drop, curve, centre, wiggle, freq, rows
     ):
         # slack = level - drop·t/r0 + curve·(r - rc)² + wiggle·(1 - cos(freq (r - t))):
         # minima inside the cone that move with t; "at_zero" touches at t = 0,
         # "last_row" only at t = r0 (edge 0), "never" not at all; small k
-        # gives cones of fewer than 9 nodes and k = 0 the origin alone; with
-        # lone = 0 the certified scan takes rows one at a time to the end
+        # gives cones of fewer than 9 nodes and k = 0 the origin alone
         nodes = np.linspace(0.0, 8.0, n)
         r0 = float(nodes[k])
         rc = centre * r0
@@ -361,21 +386,17 @@ class TestConeScan:
             lip = max(drop / r0 + wiggle * freq, 2.0 * (2.0 * curve * r0 + wiggle * freq))
         noise = 64 * np.finfo(float).eps * (abs(level) + drop + curve * r0**2 + 2.0 * wiggle)
         ref = _touch_or_error(_reference_first_touch, slack, nodes, r0)
+        width = int(nullwave._row_layout(nodes, r0, np.linspace(0.0, r0, 1025))[-1].max())
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error")
-            mp.setattr(nullwave, "_SCAN_POINTS", block)
-            mp.setattr(nullwave, "_LONE_ROW", lone)
-            got = _touch_or_error(_first_touch, slack, nodes, r0, lip, noise)
+            _set_scan_points(mp, rows, width)
+            got = _touch_or_error(_first_touch, slack, _origin_of(slack), nodes, r0, lip, noise)
             blocked = _touch_or_error(_blocked_first_touch, slack, nodes, r0)
-            skipped = nullwave._skip_clear_rows(
-                slack, nodes, r0, np.linspace(0.0, r0, 1025), lip, noise
-            )[0]
-        event(f"certified scan reached row {min(skipped // 256, 3) * 256}+")
         assert (got is None) == (ref is None)
         assert got == blocked
         if ref is not None:
             assert abs(got[0] - ref[0]) <= 1e-10
-        _assert_scan_matches_reference(slack, nodes, r0)
+        _assert_scan_matches_reference(slack, _origin_of(slack), nodes, r0)
 
 
 def _failing_data(n, weight, kappa, amp, center, width, pulse, pulse_center):
@@ -408,23 +429,24 @@ _FAILING = dict(
 class TestBlowupMatchesReferenceScan:
     @pytest.mark.filterwarnings("ignore::numpy.exceptions.RankWarning")
     @settings(max_examples=10, deadline=None)
-    @given(**_FAILING, block=st.one_of(st.just(1), st.integers(2, 1 << 15)))
+    @given(**_FAILING, rows=_ROWS)
     # the minima at t = 0.885 lie at r = 0.022, where the two vertices
     # 2.4e-12 apart evaluate 8.9e-16 apart amid ±3e-15 of rounding
     @example(n=161, weight="linear", kappa=1.109375, amp=1.125, center=0.0, width=0.75,
-             pulse=-2.0, pulse_center=1.5, block=1)
+             pulse=-2.0, pulse_center=1.5, rows=0)
     def test_detect_blowup_matches_reference(
-        self, n, weight, kappa, amp, center, width, pulse, pulse_center, block
+        self, n, weight, kappa, amp, center, width, pulse, pulse_center, rows
     ):
+        # rows of n points: no cone row is wider
         data, profile = _failing_data(n, weight, kappa, amp, center, width, pulse, pulse_center)
         scans = []
 
-        def spy(slack, nodes, r0, lip, noise):
-            scans.append((slack, nodes, r0))
-            return _first_touch(slack, nodes, r0, lip, noise)
+        def spy(slack, origin, nodes, r0, lip, noise):
+            scans.append((slack, origin, nodes, r0))
+            return _first_touch(slack, origin, nodes, r0, lip, noise)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nullwave, "_SCAN_POINTS", block)
+            _set_scan_points(mp, rows, n)
             mp.setattr(nullwave, "_first_touch", spy)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -435,25 +457,25 @@ class TestBlowupMatchesReferenceScan:
         if ref is not None:
             assert abs(got.t0 - ref.t0) <= 1e-10
             assert (got.window, got.side) == (ref.window, ref.side)
-        for slack, nodes, r0 in scans:
-            _assert_scan_matches_reference(slack, nodes, r0)
+        for scan in scans:
+            _assert_scan_matches_reference(*scan)
 
 
 class TestCertifiedScan:
     @settings(max_examples=30, deadline=None)
-    @given(**_FAILING, lone=st.sampled_from([0, nullwave._LONE_ROW]))
+    @given(**_FAILING, rows=_ROWS)
     @example(n=161, weight="linear", kappa=1.109375, amp=1.125, center=0.0, width=0.75,
-             pulse=-2.0, pulse_center=1.5, lone=0)
+             pulse=-2.0, pulse_center=1.5, rows=0)
     # touches at the cone tip, t0 = 0.9964 r0, after skipping nearly every row
     @example(n=801, weight="const+", kappa=1.0, amp=2.0, center=0.0, width=1.0,
-             pulse=0.0, pulse_center=2.0, lone=nullwave._LONE_ROW)
+             pulse=0.0, pulse_center=2.0, rows=None)
     def test_detect_blowup_equals_blocked_scan(
-        self, n, weight, kappa, amp, center, width, pulse, pulse_center, lone
+        self, n, weight, kappa, amp, center, width, pulse, pulse_center, rows
     ):
-        # lone = 0: the certified scan takes rows one at a time to the touch
+        # rows of n points: no cone row is wider
         data, profile = _failing_data(n, weight, kappa, amp, center, width, pulse, pulse_center)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nullwave, "_LONE_ROW", lone)
+            _set_scan_points(mp, rows, n)
             got = _touch_or_error(detect_blowup, data, profile, False)
             mp.setattr(nullwave, "_first_touch", _without_bounds(_blocked_first_touch))
             ref = _touch_or_error(detect_blowup, data, profile, False)
@@ -463,28 +485,51 @@ class TestCertifiedScan:
                 ref.t0, ref.x0_radius, ref.window, ref.side
             )
 
-    def test_skips_all_but_a_few_rows_before_a_tip_touch(self):
-        # rows evaluated one at a time, and rows left to the blocked scan
-        cones = []
-        skip, evaluate = nullwave._skip_clear_rows, nullwave._row_mins
-
-        def counted_skip(slack, nodes, r0, ts, lip, noise):
-            rows = []
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(nullwave, "_row_mins", lambda *a: rows.append(1) or evaluate(*a))
-                i, loc = skip(slack, nodes, r0, ts, lip, noise)
-            cones.append((len(rows), ts.size - i))
-            return i, loc
-
+    def test_skips_all_but_a_few_rows_before_a_tip_touch(self, monkeypatch):
         data, profile = _failing_data(801, "const+", 1.0, 2.0, 0.0, 1.0, 0.0, 2.0)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nullwave, "_skip_clear_rows", counted_skip)
-            report = detect_blowup(data, profile, False)
-        assert abs(report.t0) >= 0.99 * report.window
+        cones = _scan_rounds(monkeypatch, data, profile)
         assert len(cones) == 2  # u1 = 0 fails in both time directions
-        for one_at_a_time, left in cones:
-            assert one_at_a_time >= 1  # the row at t = 0 at least
-            assert one_at_a_time + left <= 50  # of 1025 scan times
+        for _, rows, t0, window in cones:
+            assert t0 >= 0.99 * window
+            # of 1025 scan times; doubling after every round without a
+            # restart at one row evaluates 40
+            assert 1 <= sum(rows) <= 24
+
+    def test_few_rounds_under_a_large_curvature_bound(self, monkeypatch):
+        # L = 124: each row's bound clears few rows, and rounds restart at one
+        # row only while a skip passes more rows than the scan has evaluated
+        data, profile = _failing_data(
+            801, "const+", 0.828896496790486, 2.1037544599064097, 1.7401770046550067,
+            0.7818548201287264, 0.0, 2.0,
+        )
+        lip = FreePropagator(dalembert_split(push_forward(data, profile))).curvature_bound()
+        assert 120.0 <= lip <= 130.0
+        rounds = []
+        evaluate = nullwave._row_mins
+        monkeypatch.setattr(nullwave, "_row_mins", lambda *a: rounds.append(1) or evaluate(*a))
+        detect_blowup(data, profile, False)
+        assert len(rounds) <= 64  # scans and bisections of both time directions
+
+    @pytest.mark.parametrize("rows", [0, 8, None])
+    def test_pole_velocity_scans_in_doubling_rounds(self, monkeypatch, rows):
+        # L = ∞ skips nothing: rounds of 1, 2, 4, ... rows up to the cap,
+        # then the cap, through every time before the touch at t0 = 0.999 r0
+        u0 = RadialField.from_callable(GRID, lambda r: 0.5 * np.exp(-(r**2)))
+        pulse = 2.0 * GRID.nodes * np.exp(-(((GRID.nodes - 2.0) / 0.7) ** 2))
+        u1 = outgoing_velocity(u0, "collapsing").moment() + pulse
+        data = CauchyData(u0, RadialField.from_moment(GRID, u1))
+        profile = build_profile(builtin_nonlinearity("const", 1.0))
+        prop = FreePropagator(dalembert_split(push_forward(data, profile)))
+        assert prop.curvature_bound() == math.inf
+        _set_scan_points(monkeypatch, rows, GRID.nodes.size)
+        ((ts, rows_per_round, t0, window),) = _scan_rounds(monkeypatch, data, profile)
+        assert t0 >= 0.99 * window
+        widest = int(nullwave._row_layout(GRID.nodes, window, ts)[-1].max())
+        cap = max(1, nullwave._SCAN_POINTS // widest)
+        doubling = [min(2**j, cap) for j in range(cap.bit_length() + 1)]
+        assert rows_per_round[: len(doubling)] == doubling
+        assert sum(rows_per_round) >= np.searchsorted(ts, t0)  # no time skipped
+        assert len(rows_per_round) <= math.ceil(ts.size / cap) + math.ceil(math.log2(cap)) + 1
 
     def test_pole_velocity_has_no_curvature_bound(self):
         # a 1/r pole of u1 puts a kink in Ψ' at the origin, where no finite
@@ -522,6 +567,62 @@ class TestCertifiedScan:
         assert np.all(np.abs(u_r) <= lip / 2.0 + 2.0 * eps / r)
 
 
+class TestOriginColumn:
+    @settings(max_examples=20, deadline=None)
+    @given(**_FAILING, pole=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_origin_is_the_value_at_radius_zero(
+        self, n, weight, kappa, amp, center, width, pulse, pulse_center, pole, seed
+    ):
+        # the scan takes the origin column from FreePropagator.origin and the
+        # rest of each row from at on r > 0; both must give what one at call
+        # on the whole row gives, also under a velocity with a 1/r pole
+        data, profile = _failing_data(n, weight, kappa, amp, center, width, pulse, pulse_center)
+        if pole:
+            u1 = data.u1.moment() + outgoing_velocity(data.u0).moment()
+            data = CauchyData(data.u0, RadialField.from_moment(data.grid, u1))
+        prop = FreePropagator(dalembert_split(push_forward(data, profile)))
+        rho = data.grid.r_max
+        rng = np.random.default_rng(seed)
+        rim = rho * np.array([0.0, 1.0, 1.5, 2.0, 3.0])
+        ts = np.concatenate([rim, -rim, rng.uniform(-2.0 * rho, 2.0 * rho, 64)])
+        assert np.array_equal(prop.origin(ts), prop.at(np.zeros_like(ts), ts))
+
+        side = "lower" if math.isfinite(profile.a) else "upper"
+        for sign in (1, -1):
+            slack, origin = nullwave._level_slack(prop, side, profile.a, profile.b, sign)
+            r0 = rng.uniform(0.0, rho)
+            times = np.append(rng.uniform(0.0, r0, 40), r0)  # r0: the origin row
+            rs, lengths = _cone_rows(data.grid.nodes, r0, times)
+            got = nullwave._row_mins(slack, times, rs, lengths, origin(times))
+            assert np.array_equal(got, _whole_row_mins(slack, data.grid.nodes, r0, times))
+
+
+def _scan_rounds(monkeypatch, data, profile):
+    """Scan times, rows per _row_mins round, first touching scan time and r0
+    of each cone detect_blowup scans, without the bisection."""
+    cones = []
+    find, evaluate = nullwave._first_touch, nullwave._row_mins
+
+    def counted_find(slack, origin, nodes, r0, lip, noise):
+        cones.append((np.linspace(0.0, r0, 1025), [], None, r0))
+        return find(slack, origin, nodes, r0, lip, noise)
+
+    def counted_rows(slack, ts, *rest):
+        cones[-1][1].append(ts.size)
+        return evaluate(slack, ts, *rest)
+
+    def end_of_scan(slack, origin, nodes, r0, lo, hi, hi_loc, tol):
+        ts, rows, _, r0 = cones[-1]
+        cones[-1] = (ts, rows, hi, r0)
+        return hi, hi_loc
+
+    monkeypatch.setattr(nullwave, "_first_touch", counted_find)
+    monkeypatch.setattr(nullwave, "_row_mins", counted_rows)
+    monkeypatch.setattr(nullwave, "_bisect_touch", end_of_scan)
+    detect_blowup(data, profile, False)
+    return cones
+
+
 class TestTreeBisection:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -532,22 +633,21 @@ class TestTreeBisection:
         tol=st.sampled_from([1e-10, 1e-12]),
         level=st.floats(-0.95, -0.05),
         cycles=st.floats(0.0, 40.0),
-        factor=st.sampled_from([0, 1, 4, 8, 32, 256, 4096]),
+        rows=_ROWS,
     )
     # one bracket of 33-point rows, touching not monotone in t, under trees
-    # of depth 1, 2, 3 and 4
-    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, factor=1)
-    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, factor=4)
-    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, factor=8)
-    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, factor=32)
+    # of depth at most 1, 2, 3 and 5
+    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, rows=0)
+    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, rows=3)
+    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, rows=8)
+    @example(n=801, k=100, start=0.99, decades=3.0, tol=1e-10, level=-0.3, cycles=10.0, rows=40)
     def test_walks_the_path_of_plain_bisection(
-        self, n, k, start, decades, tol, level, cycles, factor
+        self, n, k, start, decades, tol, level, cycles, rows
     ):
         # a bracket of 10^-decades·r0; the cone minimum is at r = 0, where
         # slack is level plus a triangle wave in t of 2^cycles periods over
         # the bracket: touching (≤ 0) is not monotone in t down to the
-        # period; _LONE_ROW is a multiple of the bracket's row width, so
-        # trees of depth 1 (factor 0 and 1) to 2, 3, 4 and more occur
+        # period; _SCAN_POINTS in rows of the bracket's row width
         nodes = np.linspace(0.0, 8.0, n)
         r0 = float(nodes[k]) if k else 1.0
         lo = start * r0
@@ -566,21 +666,24 @@ class TestTreeBisection:
             return tree(lo, hi, depth)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nullwave, "_LONE_ROW", factor * width)
+            _set_scan_points(mp, rows, width)
             mp.setattr(nullwave, "_midpoint_tree", spy)
-            got = nullwave._bisect_touch(slack, nodes, r0, lo, hi, -1.0, tol)
+            got = nullwave._bisect_touch(slack, _origin_of(slack), nodes, r0, lo, hi, -1.0, tol)
         want = _plain_bisection(slack, nodes, r0, lo, hi, -1.0, tol)
         assert got == want
         comb = np.linspace(lo, hi, 4097)
-        touch = _cone_mins(slack, nodes, r0, comb)[0] <= 0.0
+        touch = _whole_row_mins(slack, nodes, r0, comb)[0] <= 0.0
         event(f"touching is monotone in t: {not np.any(touch[:-1] & ~touch[1:])}")
         deepest = max(depths, default=0)
-        event(f"deepest tree: {min(deepest, 4)}{'+' if deepest >= 4 else ''}")
+        event(f"deepest tree: {min(deepest, 5)}{'+' if deepest >= 5 else ''}")
 
     def test_stops_where_plain_bisection_stops(self, monkeypatch):
-        # rounding leaves the bracket at exactly tol after four halvings,
-        # although log2((hi - lo)/tol) = 4 + 5e-13 asks for a fifth level;
-        # the fifth midpoint would touch (slack ≤ 0 from t_star on)
+        # trees of depth 1 to 4 take [lo0, hi0] to [lo, hi] in ten halvings;
+        # there rounding leaves the bracket at exactly tol after four more,
+        # although log2((hi - lo)/tol) = 4 + 5e-13 gives the next tree a
+        # fifth level; the fifth midpoint would touch (slack ≤ 0 from t_star
+        # on)
+        lo0, hi0 = 0.014094353468197318, 0.9874199036809322
         lo, hi = 0.5606394622302311, 0.5615899754628607
         a = lo
         for _ in range(4):
@@ -592,21 +695,43 @@ class TestTreeBisection:
         def slack(rs, ts):
             return rs + (t_star - ts)
 
-        monkeypatch.setattr(nullwave, "_LONE_ROW", 10**6)  # one tree of depth 5
-        got = nullwave._bisect_touch(slack, nodes, 1.0, lo, hi, -1.0, tol)
-        assert got == _plain_bisection(slack, nodes, 1.0, lo, hi, -1.0, tol) == (hi, -1.0)
+        trees = []
+        tree = nullwave._midpoint_tree
+        monkeypatch.setattr(
+            nullwave, "_midpoint_tree", lambda *args: trees.append(args) or tree(*args)
+        )
+        got = nullwave._bisect_touch(slack, _origin_of(slack), nodes, 1.0, lo0, hi0, -1.0, tol)
+        assert [depth for _, _, depth in trees] == [1, 2, 3, 4, 5]
+        assert trees[-1] == (lo, hi, 5)
+        # hi became a touching midpoint, with the cone minimum at r = 0
+        assert got == _plain_bisection(slack, nodes, 1.0, lo0, hi0, -1.0, tol) == (hi, 0.0)
 
     @pytest.mark.parametrize(
-        "width, halvings, depth",
-        [(33, 24, 4), (33, 3, 3), (33, 1, 1), (61, 24, 4), (239, 24, 3),
-         (1299, 24, 2), (1300, 24, 1), (3201, 24, 1)],
+        "rows, depths",
+        [(None, [1, 2, 3, 4, 5, 6, 3]), (3, [1] + [2] * 11 + [1]), (0, [1] * 24)],
+        ids=["default", "three-rows", "one-point"],
     )
-    def test_depth_minimises_cost_per_halving(self, monkeypatch, width, halvings, depth):
-        # with a lone row worth 1300 blocked points: 33-point rows near the
-        # cone tip take four halvings per call, rows of 1300 points or more
-        # one, as the plain loop did; never more than the halvings left
-        monkeypatch.setattr(nullwave, "_LONE_ROW", 1300)
-        assert nullwave._tree_depth(width, halvings) == depth
+    def test_depth_grows_by_one_per_round(self, monkeypatch, rows, depths):
+        # a bracket of 2^-10 that never touches and tol = 2^-34: 24 halvings
+        # on rows of 26 points; the default _SCAN_POINTS holds a tree of depth
+        # 9, three rows one of depth 2, one point one of depth 1; the last
+        # tree holds only the halvings left
+        nodes = np.linspace(0.0, 8.0, 801)
+        lo, hi, tol = 0.75, 0.75 + 2.0**-10, 2.0**-34
+        assert int(nullwave._row_layout(nodes, 1.0, np.array([lo]))[-1][0]) == 26
+
+        def slack(rs, ts):
+            return rs + 1.0
+
+        seen = []
+        tree = nullwave._midpoint_tree
+        monkeypatch.setattr(
+            nullwave, "_midpoint_tree", lambda lo, hi, depth: seen.append(depth) or tree(lo, hi, depth)
+        )
+        _set_scan_points(monkeypatch, rows, 26)
+        got = nullwave._bisect_touch(slack, _origin_of(slack), nodes, 1.0, lo, hi, -1.0, tol)
+        assert seen == depths
+        assert got == (hi, -1.0)
 
     def test_tree_holds_each_bracket_midpoint_in_heap_order(self):
         lo, hi = 0.1, 0.7
