@@ -707,18 +707,30 @@ class TestTreeBisection:
         assert got == _plain_bisection(slack, nodes, 1.0, lo0, hi0, -1.0, tol) == (hi, 0.0)
 
     @pytest.mark.parametrize(
-        "rows, depths",
-        [(None, [1, 2, 3, 4, 5, 6, 3]), (3, [1] + [2] * 11 + [1]), (0, [1] * 24)],
-        ids=["default", "three-rows", "one-point"],
+        "width, halvings, depth, rows, depths",
+        [pytest.param(w, h, d, (2**d - 1), depths, id=f"{w}-{h}-{d}") for w, h, d, depths in [
+            (33, 24, 4, [1, 2, 3] + [4] * 4 + [2]),
+            (33, 3, 3, [1, 2]),
+            (33, 1, 1, [1]),
+            (61, 24, 4, [1, 2, 3] + [4] * 4 + [2]),
+            (239, 24, 3, [1, 2] + [3] * 7),
+            (1299, 24, 2, [1] + [2] * 11 + [1]),
+            (1300, 24, 1, [1] * 24),
+            (3201, 24, 1, [1] * 24),
+        ]]
+        + [pytest.param(26, 24, 9, None, [1, 2, 3, 4, 5, 6, 3], id="default"),
+           pytest.param(26, 24, 1, 0, [1] * 24, id="one-point")],
     )
-    def test_depth_grows_by_one_per_round(self, monkeypatch, rows, depths):
-        # a bracket of 2^-10 that never touches and tol = 2^-34: 24 halvings
-        # on rows of 26 points; the default _SCAN_POINTS holds a tree of depth
-        # 9, three rows one of depth 2, one point one of depth 1; the last
-        # tree holds only the halvings left
-        nodes = np.linspace(0.0, 8.0, 801)
-        lo, hi, tol = 0.75, 0.75 + 2.0**-10, 2.0**-34
-        assert int(nullwave._row_layout(nodes, 1.0, np.array([lo]))[-1][0]) == 26
+    def test_depth_grows_by_one_per_round(self, monkeypatch, width, halvings, depth, rows, depths):
+        # a bracket of 2^-10 that never touches, on rows of width points, and
+        # tol = 2^-(10 + halvings); _SCAN_POINTS holds 2^depth - 1 rows (the
+        # default a tree of depth 9 on 26-point rows, one point one of depth
+        # 1), so the trees grow 1, 2, 3, ... up to depth, the last one holding
+        # only the halvings left
+        nodes = np.linspace(0.0, 8.0, 4001)
+        lo, hi, tol = 0.5, 0.5 + 2.0**-10, 2.0 ** -(10 + halvings)
+        r0 = lo + (width - 1.5) * (nodes[1] - nodes[0])  # edge between nodes width - 2 and width - 1
+        assert int(nullwave._row_layout(nodes, r0, np.array([lo]))[-1][0]) == width
 
         def slack(rs, ts):
             return rs + 1.0
@@ -728,9 +740,10 @@ class TestTreeBisection:
         monkeypatch.setattr(
             nullwave, "_midpoint_tree", lambda lo, hi, depth: seen.append(depth) or tree(lo, hi, depth)
         )
-        _set_scan_points(monkeypatch, rows, 26)
-        got = nullwave._bisect_touch(slack, _origin_of(slack), nodes, 1.0, lo, hi, -1.0, tol)
+        _set_scan_points(monkeypatch, rows, width)
+        got = nullwave._bisect_touch(slack, _origin_of(slack), nodes, r0, lo, hi, -1.0, tol)
         assert seen == depths
+        assert sum(seen) == halvings
         assert got == (hi, -1.0)
 
     def test_tree_holds_each_bracket_midpoint_in_heap_order(self):
