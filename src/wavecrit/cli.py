@@ -436,6 +436,12 @@ def _write_series(out_dir: Path, name: str, series: dict) -> None:
     (out_dir / f"{name}.gp").write_text(script)
 
 
+def _write_report(out_dir: Path, stem: str, report: dict) -> None:
+    """<out_dir>/<stem>.json: sorted keys, two-space indent, final newline."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{stem}.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+
+
 def run_scenario(
     scenario: dict,
     action: Optional[str],
@@ -461,11 +467,8 @@ def run_scenario(
     report["assertions"] = outcomes
     report["passed"] = bool(ok)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{scenario['name']}-{act}"
-    (out_dir / f"{stem}.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-    )
+    _write_report(out_dir, stem, report)
     _write_series(out_dir, stem, series)
     return (0 if ok else 1), report
 
@@ -553,11 +556,8 @@ def run_sweep(
         "t_detect_trend": trend,  # reported, deliberately not asserted
         "passed": bool(all_ok),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{scenario['name']}-sweep"
-    (out_dir / f"{stem}.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-    )
+    _write_report(out_dir, stem, report)
     np.savetxt(
         out_dir / f"{stem}.csv",
         np.asarray(rows),
@@ -586,10 +586,7 @@ def run_verify_all(out_dir: Path, tolerance_scale: float) -> Tuple[int, dict]:
         print(f"{scenario['name']}: {'PASS' if ok else 'FAIL'}")
     report = {"schema": SCHEMA_VERSION, "action": "verify-all", "scenarios": lines,
               "passed": bool(all_ok)}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "verify-all.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-    )
+    _write_report(out_dir, "verify-all", report)
     return (0 if all_ok else 1), report
 
 

@@ -13,7 +13,7 @@ r=0 limit ((ru₀)′(0)=u₀(0), (ru₁)(0)=origin moment) is exact.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -127,14 +127,19 @@ def _shell_points(R: float, n: int, include_origin: bool) -> NDArray:
     return pts
 
 
-def _grid_levels(grid: RadialGrid) -> Iterator[NDArray]:
-    """Nodes plus midpoints of the grid and of its first three refinements."""
-    return (_points(grid, level) for level in range(4))
-
-
 def _shell_levels(R: float, include_origin: bool = True) -> Iterator[NDArray]:
     """Spherical sample shells (26 directions each) at three radial densities."""
     return (_shell_points(R, n, include_origin) for n in (17, 33, 65))
+
+
+def _levels(*pairs: CauchyData) -> Iterator[NDArray]:
+    """Point sets of a criterion on the given data pairs: nodes plus midpoints
+    of the first pair's grid and of its first three refinements (radial), or
+    the spherical shells out to the largest support radius of all the pairs
+    (general)."""
+    if pairs[0].symmetry == "radial":
+        return (_points(pairs[0].grid, level) for level in range(4))
+    return _shell_levels(max(f.support_radius for d in pairs for f in (d.u0, d.u1)))
 
 
 def _stable_min(slack: Callable[[NDArray], NDArray], point_sets: Iterable[NDArray]):
@@ -150,6 +155,12 @@ def _stable_min(slack: Callable[[NDArray], NDArray], point_sets: Iterable[NDArra
             break
         prev = m
     return m, pts[k].tolist()
+
+
+def _verdict(criterion: str, slack, levels: Iterable[NDArray], strict: bool, bounds: dict):
+    """The verdict on the minimum of slack over levels, at its witness."""
+    margin, loc = _stable_min(slack, levels)
+    return _make(criterion, margin, (loc, margin), strict, bounds)
 
 
 def _spline(f: RadialField) -> PPoly:
@@ -180,28 +191,83 @@ def _laplacian_fn(f: RadialField) -> Callable[[NDArray], NDArray]:
     return lap
 
 
+# -- the four positivity cases ----------------------------------------------
+# In dimensions 1-3 the fundamental solution is positive, so u keeps its sign
+# when the data meet one case, each a side lead ≥ Σ|term|: (i) u₀ ≥ 0 for an
+# outgoing pair, (ii) (ru₀)′ ≥ r|u₁|, (iii) u₁ ≥ |∇u₀|, (iv) −Δu₀ ≥ |∇u₁|.
+# A positivity verdict asks it of u; a domination verdict asks
+# lead(u) ≥ Σ|term(u)| + |lead(v)| + Σ|term(v)|.
+
+
+def _case_terms(data: CauchyData, case: str, shell: Optional[RadialField] = None):
+    """(lead, terms) of case i–iv on data, callables on the points of
+    _levels(data); shell is reduce_to_line(data.u0) when the caller has it.
+    Radial case iii is pointwise, so it samples r > 0 and reads the origin
+    by its limit u₁(0) ≥ 0 (∇u₀(0) = 0); a 1/r velocity pole is the
+    caller's to decide."""
+    if data.symmetry == "general":
+        u0, u1 = data.u0, data.u1
+        if case == "iii":
+            return u1, [lambda p: row_norm(u0.gradient(p))]
+        return (lambda p: -u0.laplace(p)), [lambda p: row_norm(u1.gradient(p))]
+    if case == "i":
+        return _spline(data.u0), []
+    if case == "ii":
+        shell = reduce_to_line(data.u0) if shell is None else shell
+        return _spline(shell), [_moment_spline(data.u1)]
+    if case == "iii":
+        m1, d0 = _moment_spline(data.u1), _derivative_spline(data.u0)
+        return _off_origin(lambda r: m1(r) / r, data.u1.values[0]), [_off_origin(d0, 0.0)]
+    lap = _laplacian_fn(data.u0)
+    return (lambda r: -lap(r)), [_derivative_spline(data.u1)]
+
+
+def _off_origin(fn: Callable[[NDArray], NDArray], at_origin: float):
+    """fn on the radii r > 0, at_origin at r = 0."""
+
+    def side(r: NDArray) -> NDArray:
+        out = np.full(np.shape(r), at_origin, dtype=float)
+        pos = r > 0
+        out[pos] = fn(r[pos])
+        return out
+
+    return side
+
+
+def _dominance(lead, terms) -> Callable[[NDArray], NDArray]:
+    """The slack lead − |t₁| − |t₂| − …, one term at a time in the order
+    given, which fixes its rounding."""
+
+    def slack(pts: NDArray) -> NDArray:
+        out = lead(pts)
+        for term in terms:
+            out = out - np.abs(term(pts))
+        return out
+
+    return slack
+
+
 def radial_positivity(data: CauchyData, strict: bool = True) -> Verdict:
     """(ru₀)′ > r|u₁| at every radius ⟺ the free solution is positive on
     all of space-time (≥ with strict=False).  On failure the payload lists
     the origin times ±r₀ where the solution is provably nonpositive."""
     _require_radial(data, "radial_positivity")
     shell = reduce_to_line(data.u0)
-    s0 = _spline(shell)
-    m1 = _moment_spline(data.u1)
-    margin, loc = _stable_min(lambda r: s0(r) - np.abs(m1(r)), _grid_levels(data.grid))
+    s0, (m1,) = _case_terms(data, "ii", shell)
     bounds: Dict[str, object] = {
         "sup_bound": float(np.max(np.abs(shell.values)) + np.max(np.abs(data.u1.moment()))),
         "validity": "all t",
     }
-    holds = margin > 0.0 if strict else margin >= 0.0
-    if not holds:
+    verdict = _verdict("radial_positivity", _dominance(s0, [m1]), _levels(data), strict, bounds)
+    if not verdict.holds:
+        loc = verdict.witness[0]
         times = []
         if float(s0(loc) - m1(loc)) <= 0.0:
             times.append(-loc)
         if float(s0(loc) + m1(loc)) <= 0.0:
             times.append(loc)
         bounds["nonpositive_origin_times"] = times
-    return _make("radial_positivity", margin, (loc, margin), strict, bounds)
+    return verdict
 
 
 def radial_bounds(data: CauchyData, a: float, b: float) -> Verdict:
@@ -210,17 +276,14 @@ def radial_bounds(data: CauchyData, a: float, b: float) -> Verdict:
     _require_radial(data, "radial_bounds")
     if not a < b:
         raise ConfigError("radial_bounds needs a < b")
-    shell = reduce_to_line(data.u0)
-    s0 = _spline(shell)
-    m1 = _moment_spline(data.u1)
+    s0, (m1,) = _case_terms(data, "ii")
 
     def slack(r):
         w = np.abs(m1(r))
         return np.minimum(s0(r) - a - w, b - s0(r) - w)
 
-    margin, loc = _stable_min(slack, _grid_levels(data.grid))
     bounds = {"ut_envelope_halfwidth": 0.5 * (b - a), "validity": "all t"}
-    return _make("radial_bounds", margin, (loc, margin), False, bounds)
+    return _verdict("radial_bounds", slack, _levels(data), False, bounds)
 
 
 def outgoing_check(data: CauchyData, tol: float = 1e-6) -> Verdict:
@@ -230,9 +293,7 @@ def outgoing_check(data: CauchyData, tol: float = 1e-6) -> Verdict:
     the printed relation propagates inward in forward time ("collapsing"),
     its sign mirror propagates outward ("expanding")."""
     _require_radial(data, "outgoing_check")
-    shell = reduce_to_line(data.u0)
-    s0 = _spline(shell)
-    m1 = _moment_spline(data.u1)
+    s0, (m1,) = _case_terms(data, "ii")
     pts = _points(data.grid, 1)
     res_col = np.abs(s0(pts) - m1(pts))
     res_exp = np.abs(s0(pts) + m1(pts))
@@ -283,15 +344,15 @@ def nonradial_momentum(data: CauchyData) -> Verdict:
     the smaller of the two slacks; holds additionally requires min u₀ > 0
     strictly (the payload records both minima separately)."""
     _require_general(data, "nonradial_momentum")
-    R = max(data.u0.support_radius, data.u1.support_radius)
+    momentum = _dominance(*_case_terms(data, "iii"))
     last = {}  # both slacks on the final point set
 
     def slack(pts):
         last["u0"] = data.u0(pts)
-        last["momentum"] = data.u1(pts) - row_norm(data.u0.gradient(pts))
+        last["momentum"] = momentum(pts)
         return np.minimum(last["u0"], last["momentum"])
 
-    m, loc = _stable_min(slack, _shell_levels(R))
+    m, loc = _stable_min(slack, _levels(data))
     u0_min = float(np.min(last["u0"]))
     mom_min = float(np.min(last["momentum"]))
     holds = u0_min > 0.0 and mom_min >= 0.0
@@ -304,27 +365,16 @@ def nonradial_laplacian(data: CauchyData, strict: bool = True, kato: bool = True
     u ≥ 0).  With kato=True the payload adds the a-priori sup bound
     (‖Δu₀‖_K + ‖∇u₁‖_K)/4π and whether those norms resolved."""
     _require_general(data, "nonradial_laplacian")
-    R = max(data.u0.support_radius, data.u1.support_radius)
-
-    def slack(pts):
-        return -data.u0.laplace(pts) - row_norm(data.u1.gradient(pts))
-
-    margin, loc = _stable_min(slack, _shell_levels(R))
+    lead, terms = _case_terms(data, "iv")
     bounds: Dict[str, object] = {"validity": "all t"}
     if kato:
-        lap_abs = Field3D(
-            fn=lambda p: np.abs(data.u0.laplace(np.atleast_2d(p))),
-            support_radius=data.u0.support_radius,
+        k1, k2 = (
+            kato_norm(Field3D(fn=lambda p, g=g: np.abs(g(np.atleast_2d(p))), support_radius=R))
+            for g, R in ((lead, data.u0.support_radius), (terms[0], data.u1.support_radius))
         )
-        grad_abs = Field3D(
-            fn=lambda p: row_norm(data.u1.gradient(np.atleast_2d(p))),
-            support_radius=data.u1.support_radius,
-        )
-        k1 = kato_norm(lap_abs)
-        k2 = kato_norm(grad_abs)
         bounds["sup_bound"] = (k1.value + k2.value) / (4.0 * np.pi)
         bounds["kato_resolved"] = bool(k1.resolved and k2.resolved)
-    return _make("nonradial_laplacian", margin, (loc, margin), strict, bounds)
+    return _verdict("nonradial_laplacian", _dominance(lead, terms), _levels(data), strict, bounds)
 
 
 def _nirenberg_like(profile: NonlinearityProfile, lo: float, hi: float) -> bool:
@@ -364,7 +414,7 @@ def quadratic_global_condition(data: CauchyData, profile: NonlinearityProfile) -
             vals = np.minimum(vals, (b - fx) / fp - (r * d0(r) + w))
         return vals
 
-    margin, loc = _stable_min(slack, _grid_levels(data.grid))
+    margin, loc = _stable_min(slack, _levels(data))
     pts = _points(data.grid, 1)
     shell_norm = float(np.max(np.abs(pts * d0(pts))) + np.max(np.abs(m1(pts))))
     u_lo, u_hi = float(np.min(data.u0.values)), float(np.max(data.u0.values))
@@ -462,94 +512,22 @@ def focusing_domination(u_data: CauchyData, v_data: CauchyData, case: str) -> Ve
                     f"{chk.bounds['residual']:.3g}",
                     residual=chk.bounds["residual"],
                 )
-        su, sv = _spline(u_data.u0), _spline(v_data.u0)
-        margin, loc = _stable_min(lambda r: su(r) - np.abs(sv(r)), _grid_levels(u_data.grid))
-        return _make("focusing_domination", margin, (loc, margin), False, bounds)
-
-    if case == "ii":
-        tu = _spline(reduce_to_line(u_data.u0))
-        tv = _spline(reduce_to_line(v_data.u0))
-        mu = _moment_spline(u_data.u1)
-        mv = _moment_spline(v_data.u1)
-
-        def slack(r):
-            return tu(r) - np.abs(mu(r)) - np.abs(tv(r)) - np.abs(mv(r))
-
-        margin, loc = _stable_min(slack, _grid_levels(u_data.grid))
-        return _make("focusing_domination", margin, (loc, margin), False, bounds)
-
-    if sym == "general":
-        if case == "iii":
-
-            def slack(pts):
-                return (
-                    u_data.u1(pts)
-                    - row_norm(u_data.u0.gradient(pts))
-                    - np.abs(v_data.u1(pts))
-                    - row_norm(v_data.u0.gradient(pts))
-                )
-
-        else:
-
-            def slack(pts):
-                return (
-                    -u_data.u0.laplace(pts)
-                    - row_norm(u_data.u1.gradient(pts))
-                    - np.abs(v_data.u0.laplace(pts))
-                    - row_norm(v_data.u1.gradient(pts))
-                )
-
-        R = max(
-            u_data.u0.support_radius,
-            u_data.u1.support_radius,
-            v_data.u0.support_radius,
-            v_data.u1.support_radius,
-        )
-        margin, loc = _stable_min(slack, _shell_levels(R))
-        return _make("focusing_domination", margin, (loc, margin), False, bounds)
-
-    # radial cases iii and iv: a 1/r velocity pole diverges in these
-    # pointwise (unmultiplied) inequalities, so decide the origin by the
-    # leading moment and sample r > 0 only
-    u_pole = u_data.u1.origin_moment
-    v_pole = v_data.u1.origin_moment
-    if case == "iv":
-        if u_pole != 0.0 or v_pole != 0.0:
-            bounds["origin_divergence"] = "velocity pole makes a gradient term unbounded"
-            return _make("focusing_domination", -float("inf"), (0.0, -float("inf")), False, bounds)
-        lu, lv = _laplacian_fn(u_data.u0), _laplacian_fn(v_data.u0)
-        du1, dv1 = _derivative_spline(u_data.u1), _derivative_spline(v_data.u1)
-
-        def slack(r):
-            return -lu(r) - np.abs(du1(r)) - np.abs(lv(r)) - np.abs(dv1(r))
-
-        margin, loc = _stable_min(slack, _grid_levels(u_data.grid))
-        return _make("focusing_domination", margin, (loc, margin), False, bounds)
-
-    du0, dv0 = _derivative_spline(u_data.u0), _derivative_spline(v_data.u0)
-    mu1, mv1 = _moment_spline(u_data.u1), _moment_spline(v_data.u1)
+    # radial cases iii and iv are pointwise (unmultiplied), where a 1/r
+    # velocity pole diverges: the leading moments decide the origin
+    u_pole, v_pole = (d.u1.origin_moment if sym == "radial" else 0.0 for d in (u_data, v_data))
     has_pole = u_pole != 0.0 or v_pole != 0.0
-    if has_pole and u_pole - abs(v_pole) < 0.0:
-        bounds["origin_divergence"] = "velocity pole moments violate the inequality"
+    if case == "iv" and has_pole:
+        bounds["origin_divergence"] = "velocity pole makes a gradient term unbounded"
         return _make("focusing_domination", -float("inf"), (0.0, -float("inf")), False, bounds)
-
-    def slack(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        pos = r > 0
-        rp = r[pos]
-        out[pos] = (
-            mu1(rp) / rp - np.abs(du0(rp)) - np.abs(mv1(rp)) / rp - np.abs(dv0(rp))
-        )
-        if np.any(~pos):
-            if has_pole:
-                out[~pos] = np.inf  # leading moments already checked
-            else:
-                out[~pos] = u_data.u1.values[0] - np.abs(v_data.u1.values[0])
-        return out
-
-    margin, loc = _stable_min(slack, _grid_levels(u_data.grid))
-    return _make("focusing_domination", margin, (loc, margin), False, bounds)
+    u_lead, u_terms = _case_terms(u_data, case)
+    v_lead, v_terms = _case_terms(v_data, case)
+    slack = _dominance(u_lead, [*u_terms, v_lead, *v_terms])
+    if case == "iii" and has_pole:
+        if u_pole - abs(v_pole) < 0.0:
+            bounds["origin_divergence"] = "velocity pole moments violate the inequality"
+            return _make("focusing_domination", -float("inf"), (0.0, -float("inf")), False, bounds)
+        slack = _off_origin(slack, np.inf)
+    return _verdict("focusing_domination", slack, _levels(u_data, v_data), False, bounds)
 
 
 def supercritical_envelope(data: CauchyData, N: int, alpha: float = 0.0) -> Verdict:
@@ -568,36 +546,17 @@ def supercritical_envelope(data: CauchyData, N: int, alpha: float = 0.0) -> Verd
     amp = cn ** (n + 1)
     p = 2.0 + 2.0 / n
 
-    if data.symmetry == "radial":
-        if data.u1.origin_moment != 0.0:
-            raise ConfigError("supercritical_envelope requires a bounded velocity gradient")
-        lap = _laplacian_fn(data.u0)
-        d1 = _derivative_spline(data.u1)
+    radial = data.symmetry == "radial"
+    if radial and data.u1.origin_moment != 0.0:
+        raise ConfigError("supercritical_envelope requires a bounded velocity gradient")
+    lead, (grad,) = _case_terms(data, "iv")
+    radius = (lambda r: np.asarray(r, dtype=float)) if radial else row_norm
 
-        def load(r):
-            return np.abs(lap(r)) + np.abs(d1(r))
+    def load(pts):
+        return np.abs(lead(pts)) + np.abs(grad(pts))
 
-        def slack(r):
-            return amp / (alpha + np.asarray(r, dtype=float)) ** p - load(r)
-
-        margin, loc = _stable_min(slack, _grid_levels(data.grid))
-        pts = _points(data.grid, 1)
-        radii = pts
-        load_vals = load(pts)
-    else:
-
-        def load_pts(pts):
-            return np.abs(data.u0.laplace(pts)) + row_norm(data.u1.gradient(pts))
-
-        def slack(pts):
-            s = row_norm(pts)
-            return amp / (alpha + s) ** p - load_pts(pts)
-
-        R = max(data.u0.support_radius, data.u1.support_radius)
-        margin, loc = _stable_min(slack, _shell_levels(R, include_origin=alpha > 0))
-        pts = _shell_points(R, 65, include_origin=False)
-        radii = row_norm(pts)
-        load_vals = load_pts(pts)
+    def slack(pts):
+        return amp / (alpha + radius(pts)) ** p - load(pts)
 
     bounds: Dict[str, object] = {
         "C_N": cn,
@@ -606,7 +565,13 @@ def supercritical_envelope(data: CauchyData, N: int, alpha: float = 0.0) -> Verd
         "sup_bound": cn * alpha ** (-2.0 / n) if alpha > 0 else float("inf"),
         "validity": "all t",
     }
+    if radial:
+        levels, pts = _levels(data), _points(data.grid, 1)
+    else:
+        R = max(data.u0.support_radius, data.u1.support_radius)
+        levels = _shell_levels(R, include_origin=alpha > 0)
+        pts = _shell_points(R, 65, include_origin=False)
     if alpha == 0.0:
-        bounds["weighted_data_norm"] = float(np.max(radii**p * load_vals))
+        bounds["weighted_data_norm"] = float(np.max(radius(pts) ** p * load(pts)))
         bounds["weighted_norm_limit"] = amp
-    return _make("supercritical_envelope", margin, (loc, margin), False, bounds)
+    return _verdict("supercritical_envelope", slack, levels, False, bounds)

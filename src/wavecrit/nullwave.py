@@ -375,8 +375,11 @@ def _locate_blowup(
     scale = size + 2.0 * pair.grid.r_max * lip  # S of _first_touch: sup|Ψ'| ≤ size + ρ·lip/2
     touches = []
     for r0, sign, side in candidates:
-        noise = _ROUNDING * (scale + abs(a if side == "lower" else b))
-        t_abs, r1 = _first_touch(*_level_slack(prop, side, a, b, sign), r, r0, lip, noise)
+        if r0 == 0.0:  # the cone is its apex: the touch is at |t| = 0⁺ on the origin
+            t_abs, r1 = 0.0, 0.0
+        else:
+            noise = _ROUNDING * (scale + abs(a if side == "lower" else b))
+            t_abs, r1 = _first_touch(*_level_slack(prop, side, a, b, sign), r, r0, lip, noise)
         touches.append((t_abs, 0 if sign > 0 else 1, sign, side, r0, r1))
     touches.sort(key=lambda rec: rec[:2])
     t_abs, _, sign, side, r0, r1 = touches[0]
@@ -641,7 +644,8 @@ def asymptotic_profile(
     window and the leading scattering coefficient 1/F'(0) is reported.
     """
     vdata = push_forward(data, profile)
-    prop = FreePropagator(vdata)
+    pair = dalembert_split(vdata)
+    prop = FreePropagator(pair)
     a, b = profile.a, profile.b
     R = _support_radius(vdata)
     flags = []
@@ -684,7 +688,7 @@ def asymptotic_profile(
         "decay": None,
     }
     if classification == "blow-up":
-        report["blowup"] = detect_blowup(data, profile)
+        report["blowup"] = _locate_blowup(pair, prop, profile, fit_rate=True)
     if classification == "global":
         ts = np.linspace(fit_window[0], fit_window[1], samples)
         etas = np.array([t * _slice_amplitude(prop, profile, float(t), R) for t in ts])

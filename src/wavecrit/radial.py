@@ -337,11 +337,7 @@ def integrate_radial(f: RadialField, tail: str = "flag", full_output: bool = Fal
 
     Returns a float, or (float, TailInfo) when full_output is true.
     """
-    r = f.grid.nodes
-    value, info = _integrate_line(r, f.values * r**2, tail)
-    value *= 4.0 * np.pi
-    info = replace(info, correction=4.0 * np.pi * info.correction)
-    return (value, info) if full_output else value
+    return line_integral(f.grid, f.values * f.grid.nodes**2, tail, full_output)
 
 
 def line_integral(grid: RadialGrid, integrand: NDArray, tail: str = "flag",
@@ -375,12 +371,11 @@ def _kato_radial(f: RadialField) -> KatoNormResult:
     start = int(np.searchsorted(r, r[-1] / 10.0))
     start = min(max(start, 1), r.size - 4)
     g_tail = (a * r)[start:]
-    if np.max(g_tail) > 0:
-        _, p = _power_tail(r[start:], g_tail)
-        if p is not None and p <= 1.0:
-            raise KatoClassError("not in Kato class: tail of |f| r does not decay")
-        if p is None and g_tail[-1] >= g_tail[0] > 0:
-            raise KatoClassError("not in Kato class: tail of |f| r grows")
+    corr, p = _power_tail(r[start:], g_tail) if np.max(g_tail) > 0 else (0.0, None)
+    if p is not None and p <= 1.0:
+        raise KatoClassError("not in Kato class: tail of |f| r does not decay")
+    if p is None and g_tail[-1] >= g_tail[0] > 0:
+        raise KatoClassError("not in Kato class: tail of |f| r grows")
     # Origin heuristic: |f| r must not blow up like r^{-q}, q ≥ 1, as r → 0.
     g_head = (a * r)[1:7]
     if np.all(g_head > 0) and f.origin_moment == 0.0:
@@ -398,11 +393,11 @@ def _kato_radial(f: RadialField) -> KatoNormResult:
     if k_sweep[best] > k0:  # cannot happen in exact arithmetic; keep honest
         value, center = float(k_sweep[best]), np.array([r[best + 1], 0.0, 0.0])
     # Resolvedness: estimated remainder of ∫ |f| s ds beyond r_max, by power
-    # fit over the last decade, falling back to the 1/s² bound g(R)·R.
+    # fit over the last decade, falling back to the 1/s² bound g(R)·R (0
+    # without tail mass).
     total = float(simpson(a * r, x=r))
     remainder = 0.0
-    if np.max(g_tail) > 0 and total > 0:
-        corr, _ = _power_tail(r[start:], g_tail)
+    if total > 0:
         remainder = abs(corr) if corr != 0.0 else float(g_tail[-1] * r[-1])
     fraction = remainder / abs(total) if total != 0.0 else 0.0
     return KatoNormResult(value, center, bool(fraction <= 1e-6), float(fraction))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavecrit import (
     AdmissibilityError,
@@ -19,9 +21,22 @@ from wavecrit import (
     builtin_nonlinearity,
     evaluate_at_origin_nonradial,
     inverse_laplacian_radial,
+    outgoing_velocity,
+    reduce_to_line,
 )
+from wavecrit import criteria, freewave
 from wavecrit.criteria import (
     Verdict,
+    _check_pair_symmetry,
+    _derivative_spline,
+    _laplacian_fn,
+    _make,
+    _moment_spline,
+    _points,
+    _shell_levels,
+    _shell_points,
+    _spline,
+    _stable_min,
     focusing_domination,
     local_existence_time,
     nonradial_laplacian,
@@ -33,6 +48,7 @@ from wavecrit.criteria import (
     radial_positivity,
     supercritical_envelope,
 )
+from wavecrit.radial import kato_norm, row_norm
 
 GRID = RadialGrid.uniform(8.0, 401)
 
@@ -591,3 +607,436 @@ class TestVerdictSerialization:
         v = quadratic_global_condition(radial_pair(zeros, zeros), profile)
         doc = json.loads(v.to_json())
         assert doc["margin"] == "inf"
+
+
+# -- the case table against the per-verdict slacks it replaced --------------
+#
+# The _reference_* verdicts below write each case's inequality out in full,
+# one slack per verdict, case and symmetry; the case table must give the
+# same verdicts bit for bit and build the same number of splines.
+
+
+def _reference_grid_levels(grid):
+    return (_points(grid, level) for level in range(4))
+
+
+def _reference_radial_positivity(data, strict=True):
+    shell = reduce_to_line(data.u0)
+    s0 = _spline(shell)
+    m1 = _moment_spline(data.u1)
+    margin, loc = _stable_min(lambda r: s0(r) - np.abs(m1(r)), _reference_grid_levels(data.grid))
+    bounds = {
+        "sup_bound": float(np.max(np.abs(shell.values)) + np.max(np.abs(data.u1.moment()))),
+        "validity": "all t",
+    }
+    holds = margin > 0.0 if strict else margin >= 0.0
+    if not holds:
+        times = []
+        if float(s0(loc) - m1(loc)) <= 0.0:
+            times.append(-loc)
+        if float(s0(loc) + m1(loc)) <= 0.0:
+            times.append(loc)
+        bounds["nonpositive_origin_times"] = times
+    return _make("radial_positivity", margin, (loc, margin), strict, bounds)
+
+
+def _reference_radial_bounds(data, a, b):
+    s0 = _spline(reduce_to_line(data.u0))
+    m1 = _moment_spline(data.u1)
+
+    def slack(r):
+        w = np.abs(m1(r))
+        return np.minimum(s0(r) - a - w, b - s0(r) - w)
+
+    margin, loc = _stable_min(slack, _reference_grid_levels(data.grid))
+    bounds = {"ut_envelope_halfwidth": 0.5 * (b - a), "validity": "all t"}
+    return _make("radial_bounds", margin, (loc, margin), False, bounds)
+
+
+def _reference_outgoing_check(data, tol=1e-6):
+    s0 = _spline(reduce_to_line(data.u0))
+    m1 = _moment_spline(data.u1)
+    pts = _points(data.grid, 1)
+    res_col = np.abs(s0(pts) - m1(pts))
+    res_exp = np.abs(s0(pts) + m1(pts))
+    k = int(np.argmax(res_col))
+    worst = float(res_col[k])
+    mirror = float(np.max(res_exp))
+    if worst <= tol:
+        orientation = "collapsing"
+    elif mirror <= tol:
+        orientation = "expanding"
+    else:
+        orientation = "none"
+    bounds = {
+        "residual": worst,
+        "residual_mirror": mirror,
+        "orientation": orientation,
+        "tolerance": tol,
+    }
+    return _make("outgoing_check", tol - worst, (float(pts[k]), tol - worst), False, bounds)
+
+
+def _reference_nonradial_momentum(data):
+    R = max(data.u0.support_radius, data.u1.support_radius)
+    last = {}
+
+    def slack(pts):
+        last["u0"] = data.u0(pts)
+        last["momentum"] = data.u1(pts) - row_norm(data.u0.gradient(pts))
+        return np.minimum(last["u0"], last["momentum"])
+
+    m, loc = _stable_min(slack, _shell_levels(R))
+    u0_min = float(np.min(last["u0"]))
+    mom_min = float(np.min(last["momentum"]))
+    holds = u0_min > 0.0 and mom_min >= 0.0
+    bounds = {"validity": "t >= 0", "min_u0": u0_min, "min_momentum": mom_min}
+    return Verdict("nonradial_momentum", holds, m, (loc, m), False, bounds)
+
+
+def _reference_nonradial_laplacian(data, strict=True, kato=True):
+    R = max(data.u0.support_radius, data.u1.support_radius)
+
+    def slack(pts):
+        return -data.u0.laplace(pts) - row_norm(data.u1.gradient(pts))
+
+    margin, loc = _stable_min(slack, _shell_levels(R))
+    bounds = {"validity": "all t"}
+    if kato:
+        lap_abs = Field3D(
+            fn=lambda p: np.abs(data.u0.laplace(np.atleast_2d(p))),
+            support_radius=data.u0.support_radius,
+        )
+        grad_abs = Field3D(
+            fn=lambda p: row_norm(data.u1.gradient(np.atleast_2d(p))),
+            support_radius=data.u1.support_radius,
+        )
+        k1 = kato_norm(lap_abs)
+        k2 = kato_norm(grad_abs)
+        bounds["sup_bound"] = (k1.value + k2.value) / (4.0 * np.pi)
+        bounds["kato_resolved"] = bool(k1.resolved and k2.resolved)
+    return _make("nonradial_laplacian", margin, (loc, margin), strict, bounds)
+
+
+def _reference_focusing_domination(u_data, v_data, case):
+    case = str(case).lower()
+    if case not in ("i", "ii", "iii", "iv"):
+        raise ConfigError("case must be one of i, ii, iii, iv")
+    sym = _check_pair_symmetry(u_data, v_data, case)
+    validity = "t >= 0" if case in ("i", "iii") else "all t"
+    bounds = {"direction": "|v| <= u", "validity": validity}
+
+    if case == "i":
+        for tag, d in (("u", u_data), ("v", v_data)):
+            chk = outgoing_check(d)
+            if not chk.holds:
+                raise AdmissibilityError(
+                    f"case i requires outgoing pairs: {tag}-data residual "
+                    f"{chk.bounds['residual']:.3g}",
+                    residual=chk.bounds["residual"],
+                )
+        su, sv = _spline(u_data.u0), _spline(v_data.u0)
+        margin, loc = _stable_min(
+            lambda r: su(r) - np.abs(sv(r)), _reference_grid_levels(u_data.grid)
+        )
+        return _make("focusing_domination", margin, (loc, margin), False, bounds)
+
+    if case == "ii":
+        tu = _spline(reduce_to_line(u_data.u0))
+        tv = _spline(reduce_to_line(v_data.u0))
+        mu = _moment_spline(u_data.u1)
+        mv = _moment_spline(v_data.u1)
+
+        def slack(r):
+            return tu(r) - np.abs(mu(r)) - np.abs(tv(r)) - np.abs(mv(r))
+
+        margin, loc = _stable_min(slack, _reference_grid_levels(u_data.grid))
+        return _make("focusing_domination", margin, (loc, margin), False, bounds)
+
+    if sym == "general":
+        if case == "iii":
+
+            def slack(pts):
+                return (
+                    u_data.u1(pts)
+                    - row_norm(u_data.u0.gradient(pts))
+                    - np.abs(v_data.u1(pts))
+                    - row_norm(v_data.u0.gradient(pts))
+                )
+
+        else:
+
+            def slack(pts):
+                return (
+                    -u_data.u0.laplace(pts)
+                    - row_norm(u_data.u1.gradient(pts))
+                    - np.abs(v_data.u0.laplace(pts))
+                    - row_norm(v_data.u1.gradient(pts))
+                )
+
+        R = max(
+            u_data.u0.support_radius,
+            u_data.u1.support_radius,
+            v_data.u0.support_radius,
+            v_data.u1.support_radius,
+        )
+        margin, loc = _stable_min(slack, _shell_levels(R))
+        return _make("focusing_domination", margin, (loc, margin), False, bounds)
+
+    u_pole = u_data.u1.origin_moment
+    v_pole = v_data.u1.origin_moment
+    if case == "iv":
+        if u_pole != 0.0 or v_pole != 0.0:
+            bounds["origin_divergence"] = "velocity pole makes a gradient term unbounded"
+            return _make("focusing_domination", -float("inf"), (0.0, -float("inf")), False, bounds)
+        lu, lv = _laplacian_fn(u_data.u0), _laplacian_fn(v_data.u0)
+        du1, dv1 = _derivative_spline(u_data.u1), _derivative_spline(v_data.u1)
+
+        def slack(r):
+            return -lu(r) - np.abs(du1(r)) - np.abs(lv(r)) - np.abs(dv1(r))
+
+        margin, loc = _stable_min(slack, _reference_grid_levels(u_data.grid))
+        return _make("focusing_domination", margin, (loc, margin), False, bounds)
+
+    du0, dv0 = _derivative_spline(u_data.u0), _derivative_spline(v_data.u0)
+    mu1, mv1 = _moment_spline(u_data.u1), _moment_spline(v_data.u1)
+    has_pole = u_pole != 0.0 or v_pole != 0.0
+    if has_pole and u_pole - abs(v_pole) < 0.0:
+        bounds["origin_divergence"] = "velocity pole moments violate the inequality"
+        return _make("focusing_domination", -float("inf"), (0.0, -float("inf")), False, bounds)
+
+    def slack(r):
+        r = np.asarray(r, dtype=float)
+        out = np.empty_like(r)
+        pos = r > 0
+        rp = r[pos]
+        out[pos] = mu1(rp) / rp - np.abs(du0(rp)) - np.abs(mv1(rp)) / rp - np.abs(dv0(rp))
+        if np.any(~pos):
+            if has_pole:
+                out[~pos] = np.inf
+            else:
+                out[~pos] = u_data.u1.values[0] - np.abs(v_data.u1.values[0])
+        return out
+
+    margin, loc = _stable_min(slack, _reference_grid_levels(u_data.grid))
+    return _make("focusing_domination", margin, (loc, margin), False, bounds)
+
+
+def _reference_supercritical_envelope(data, N, alpha=0.0):
+    n = int(N)
+    cn = (2.0 * (n - 2) / n**2) ** (1.0 / n)
+    amp = cn ** (n + 1)
+    p = 2.0 + 2.0 / n
+
+    if data.symmetry == "radial":
+        if data.u1.origin_moment != 0.0:
+            raise ConfigError("supercritical_envelope requires a bounded velocity gradient")
+        lap = _laplacian_fn(data.u0)
+        d1 = _derivative_spline(data.u1)
+
+        def load(r):
+            return np.abs(lap(r)) + np.abs(d1(r))
+
+        def slack(r):
+            return amp / (alpha + np.asarray(r, dtype=float)) ** p - load(r)
+
+        margin, loc = _stable_min(slack, _reference_grid_levels(data.grid))
+        pts = _points(data.grid, 1)
+        radii = pts
+        load_vals = load(pts)
+    else:
+
+        def load_pts(pts):
+            return np.abs(data.u0.laplace(pts)) + row_norm(data.u1.gradient(pts))
+
+        def slack(pts):
+            s = row_norm(pts)
+            return amp / (alpha + s) ** p - load_pts(pts)
+
+        R = max(data.u0.support_radius, data.u1.support_radius)
+        margin, loc = _stable_min(slack, _shell_levels(R, include_origin=alpha > 0))
+        pts = _shell_points(R, 65, include_origin=False)
+        radii = row_norm(pts)
+        load_vals = load_pts(pts)
+
+    bounds = {
+        "C_N": cn,
+        "decay_exponent": 2.0 / n,
+        "pointwise_bound_scale": cn,
+        "sup_bound": cn * alpha ** (-2.0 / n) if alpha > 0 else float("inf"),
+        "validity": "all t",
+    }
+    if alpha == 0.0:
+        bounds["weighted_data_norm"] = float(np.max(radii**p * load_vals))
+        bounds["weighted_norm_limit"] = amp
+    return _make("supercritical_envelope", margin, (loc, margin), False, bounds)
+
+
+def _splines_and_outcome(verdict, *args):
+    """(cubic_spline calls, outcome) of one verdict: the outcome is the JSON of
+    to_dict() and the repr of the margin, or the type and text of the error."""
+    calls = [0]
+    build = criteria.cubic_spline
+
+    def counted(*a):
+        calls[0] += 1
+        return build(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria, "cubic_spline", counted)
+        mp.setattr(freewave, "cubic_spline", counted)
+        try:
+            v = verdict(*args)
+            outcome = (json.dumps(v.to_dict(), sort_keys=True), repr(v.margin))
+        except (AdmissibilityError, ConfigError) as exc:
+            outcome = (type(exc).__name__, str(exc))
+    return calls[0], outcome
+
+
+def _assert_same_verdicts(pairs):
+    """Each (new, reference, args) gives the same outcome from the same
+    number of splines."""
+    for new, ref, args in pairs:
+        got = _splines_and_outcome(new, *args)
+        want = _splines_and_outcome(ref, *args)
+        assert got == want, (new.__name__, args[2:])
+
+
+_CASES = ("i", "ii", "iii", "iv")
+
+
+@st.composite
+def _radial_data(draw, grid):
+    """Gaussian bump plus offset; the velocity a bump, a 1/r pole or the
+    outgoing velocity of u₀ in either orientation."""
+    r = grid.nodes
+    amp0 = draw(st.floats(-2.0, 2.0))
+    c0 = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    w0 = draw(st.floats(0.4, 2.0))
+    offset = draw(st.sampled_from([0.0, 0.0, 0.3, 1.0]))
+    u0 = RadialField(grid, amp0 * np.exp(-(((r - c0) / w0) ** 2)) + offset)
+    kind = draw(st.sampled_from(["bump", "pole", "expanding", "collapsing"]))
+    if kind in ("expanding", "collapsing"):
+        return CauchyData(u0, outgoing_velocity(u0, kind))
+    amp1 = draw(st.floats(-2.0, 2.0))
+    w1 = draw(st.floats(0.4, 2.0))
+    if kind == "pole":
+        pole = draw(st.sampled_from([-1.0, 0.5, 1.0]))
+        u1 = RadialField.from_moment(grid, pole * np.exp(-(r**2)) + amp1 * r * np.exp(-((r / w1) ** 2)))
+    else:
+        u1 = RadialField(grid, amp1 * np.exp(-(((r - c0) / w1) ** 2)))
+    return CauchyData(u0, u1)
+
+
+def _aniso_gaussian(amp, centre, widths, radius, analytic):
+    centre, inv = np.asarray(centre), 1.0 / np.asarray(widths) ** 2
+
+    def fn(p):
+        d = np.atleast_2d(p) - centre
+        return amp * np.exp(-np.sum(d * d * inv, axis=1))
+
+    def grad(p):
+        d = np.atleast_2d(p) - centre
+        return -2.0 * d * inv * fn(p)[:, None]
+
+    def lap(p):
+        d = np.atleast_2d(p) - centre
+        return (np.sum(4.0 * (d * inv) ** 2, axis=1) - 2.0 * np.sum(inv)) * fn(p)
+
+    if analytic:
+        return Field3D(fn=fn, grad=grad, laplacian=lap, support_radius=radius)
+    return Field3D(fn=fn, support_radius=radius)
+
+
+@st.composite
+def _general_data(draw):
+    """Anisotropic Gaussians (analytic or finite-difference derivatives, an
+    offset on the velocity) with support radii 4, 6 or 8 drawn per field."""
+    u0, u1 = (
+        _aniso_gaussian(
+            draw(st.floats(-2.0, 2.0)),
+            draw(st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3)),
+            draw(st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3)),
+            draw(st.sampled_from([4.0, 6.0, 8.0])),
+            draw(st.booleans()),
+        )
+        for _ in range(2)
+    )
+    if draw(st.booleans()):
+        u1 = Field3D(
+            fn=lambda p, f=u1: f(p) + 0.5,
+            grad=u1.gradient,
+            laplacian=u1.laplace,
+            support_radius=u1.support_radius,
+        )
+    return CauchyData(u0, u1)
+
+
+class TestCaseTable:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from([41, 81, 161]), st.sampled_from([4.0, 8.0]))
+    def test_radial_verdicts_equal_per_verdict_slacks(self, data, n, r_max):
+        grid = RadialGrid.uniform(r_max, n)
+        u, v = data.draw(_radial_data(grid)), data.draw(_radial_data(grid))
+        a = data.draw(st.floats(-3.0, 0.0))
+        pairs = [
+            (radial_positivity, _reference_radial_positivity, (u, True)),
+            (radial_positivity, _reference_radial_positivity, (u, False)),
+            (radial_bounds, _reference_radial_bounds, (u, a, a + 4.0)),
+            (outgoing_check, _reference_outgoing_check, (u,)),
+            (supercritical_envelope, _reference_supercritical_envelope, (u, 4, 0.0)),
+            (supercritical_envelope, _reference_supercritical_envelope, (u, 6, 0.5)),
+        ]
+        pairs += [(focusing_domination, _reference_focusing_domination, (u, v, c)) for c in _CASES]
+        pairs += [(focusing_domination, _reference_focusing_domination, (u, u, c)) for c in _CASES]
+        _assert_same_verdicts(pairs)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_general_data(), _general_data())
+    def test_general_verdicts_equal_per_verdict_slacks(self, u, v):
+        pairs = [
+            (nonradial_momentum, _reference_nonradial_momentum, (u,)),
+            (nonradial_laplacian, _reference_nonradial_laplacian, (u, True, False)),
+            (supercritical_envelope, _reference_supercritical_envelope, (u, 4, 0.0)),
+            (supercritical_envelope, _reference_supercritical_envelope, (u, 4, 0.5)),
+            (focusing_domination, _reference_focusing_domination, (u, v, "iii")),
+            (focusing_domination, _reference_focusing_domination, (u, v, "iv")),
+        ]
+        _assert_same_verdicts(pairs)
+
+    def test_domination_samples_to_the_largest_support_radius(self):
+        # only v's velocity reaches past u's support radius 4, and only there
+        # does it beat u₁ = 1: shells out to u's radius alone would pass
+        u = CauchyData(ball(0.0, R=4.0), ball(1.0, R=4.0))
+        far = _aniso_gaussian(2.0, [0.0, 0.0, 5.0], [0.5, 0.5, 0.5], 8.0, True)
+        v = CauchyData(ball(0.0, R=4.0), far)
+        _assert_same_verdicts(
+            [(focusing_domination, _reference_focusing_domination, (u, v, c)) for c in ("iii", "iv")]
+        )
+        verdict = focusing_domination(u, v, "iii")
+        assert not verdict.holds
+        assert np.linalg.norm(verdict.witness[0]) > 4.0
+
+    def test_kato_bound_equals_per_verdict_fields(self):
+        data = CauchyData(soliton3d(R=6.0), gaussian3d(R=4.0))
+        _assert_same_verdicts(
+            [(nonradial_laplacian, _reference_nonradial_laplacian, (data, True, True))]
+        )
+
+    def test_pole_rules(self):
+        # iv refuses a pole at once (no spline); iii compares the moments
+        # after building its splines, then reads the origin as +inf
+        smooth = radial_pair(lambda r: np.exp(-(r**2)), lambda r: 0.1 * np.exp(-(r**2)))
+        pole = CauchyData(soliton_field(), soliton_velocity())
+        half = RadialField.from_moment(GRID, 0.5 * np.exp(-(GRID.nodes**2)))
+        weak = CauchyData(soliton_field(), half)
+        pairs = [
+            (focusing_domination, _reference_focusing_domination, (x, y, c))
+            for x, y in ((pole, smooth), (smooth, pole), (pole, pole), (pole, weak))
+            for c in ("iii", "iv")
+        ]
+        _assert_same_verdicts(pairs)
+        assert focusing_domination(smooth, pole, "iii").margin == -math.inf
+        assert focusing_domination(pole, weak, "iii").margin > -math.inf
+        assert _splines_and_outcome(focusing_domination, pole, smooth, "iv")[0] == 0
+        assert _splines_and_outcome(focusing_domination, smooth, pole, "iii")[0] == 4

@@ -152,6 +152,23 @@ class TestDetectBlowup:
         report = detect_blowup(gaussian_well(1.5), unit, fit_rate=False)
         assert math.isnan(report.log_rate_fit[1])
 
+    @pytest.mark.parametrize("weight", [("const", 1.0), ("const", -1.0), ("linear", 1.0)])
+    @pytest.mark.parametrize("orientation", ["expanding", "collapsing"])
+    def test_witness_at_the_origin_touches_at_once(self, weight, orientation):
+        # the outgoing velocity has a 1/r pole and a mover fails at node 0:
+        # the cone is its apex, and u(0, t) is past the endpoint at |t| = 0⁺
+        # although u₀(0) is not
+        profile = build_profile(builtin_nonlinearity(*weight))
+        u0 = gaussian_well(1.5).u0
+        data = CauchyData(u0, outgoing_velocity(u0, orientation))
+        report = detect_blowup(data, profile)
+        assert (report.t0, report.x0_radius, report.window) == (0.0, 0.0, 0.0)
+        assert all(math.isnan(x) for x in report.log_rate_fit)
+        assert null_solution(data, profile).first_zero == (0.0, 0.0)
+        prop = FreePropagator(push_forward(data, profile))
+        v = prop.origin(np.array([math.copysign(1e-12, report.t0)]))[0]
+        assert (v <= profile.a) if report.side == "lower" else (v >= profile.b)
+
 
 # -- the row-by-row cone scan, kept as the oracle of the blocked scan --------
 
