@@ -100,7 +100,6 @@ from .focusing import (
     energy_focusing,
     kenig_merle_quantities,
     monotone_iterate,
-    sine_kernel_radial,
     soliton,
     supersolution_check,
 )

@@ -419,14 +419,17 @@ plot {plots}
 """
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """A header line, then each row as "%.18e" values joined by commas."""
+    lines = [header] + [",".join("%.18e" % v for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _write_series(out_dir: Path, name: str, series: dict) -> None:
     if "series" not in series:
         return
-    table = np.asarray(series["series"])
     columns = series["columns"]
-    csv = out_dir / f"{name}.csv"
-    header = ",".join(columns)
-    np.savetxt(csv, table, delimiter=",", header=header, comments="")
+    _write_csv(out_dir / f"{name}.csv", ",".join(columns), series["series"])
     plots = ", ".join(
         f'"{name}.csv" using 1:{i + 2} with lines' for i in range(len(columns) - 1)
     )
@@ -558,13 +561,7 @@ def run_sweep(
     }
     stem = f"{scenario['name']}-sweep"
     _write_report(out_dir, stem, report)
-    np.savetxt(
-        out_dir / f"{stem}.csv",
-        np.asarray(rows),
-        delimiter=",",
-        header="value,passed,t_detect,sup",
-        comments="",
-    )
+    _write_csv(out_dir / f"{stem}.csv", "value,passed,t_detect,sup", rows)
     plots = f'"{stem}.csv" using 1:3 with linespoints, "{stem}.csv" using 1:4 with linespoints'
     (out_dir / f"{stem}.gp").write_text(
         PLOT_TEMPLATE.format(name=stem, xlabel=parameter, ylabel="value", plots=plots)

@@ -21,7 +21,15 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import brentq
 
-from .criteria import Verdict, _laplacian_fn, outgoing_check, radial_positivity
+from .criteria import (
+    Verdict,
+    _case_terms,
+    _dominance,
+    _laplacian_fn,
+    _levels,
+    _verdict,
+    outgoing_check,
+)
 from .errors import (
     AdmissibilityError,
     ConfigError,
@@ -41,7 +49,6 @@ __all__ = [
     "energy_focusing",
     "kenig_merle_quantities",
     "monotone_iterate",
-    "sine_kernel_radial",
     "soliton",
     "supersolution_check",
 ]
@@ -117,58 +124,6 @@ def crossing_radii(N: int = 4) -> Tuple[float, float]:
     lo = brentq(gap, 1e-3, 2.0, xtol=1e-14)
     hi = brentq(gap, 3.0, 30.0, xtol=1e-14)
     return float(lo), float(hi)
-
-
-# ---------------------------------------------------------------------------
-# sine kernel
-
-
-def sine_kernel_radial(f: RadialField, t: float) -> RadialField:
-    """Average of the source over the backward sphere of radius t.
-
-    g(r) = (1/2r) ∫_{|r-t|}^{r+t} ρ f(ρ) dρ, with the origin limit t f(t);
-    this is exactly the free-wave map (0, f) ↦ u(t).  Arguments beyond the
-    grid use the frozen boundary value of f, which is exact for sources
-    that are constant or vanishing there; a source still varying at the
-    boundary is rejected.
-    """
-    if t < 0:
-        raise ConfigError("the kernel is taken at nonnegative times", t=t)
-    nodes = f.grid.nodes
-    r_top = f.grid.r_max
-    if nodes.size >= 3 and t > 0:
-        outer = f.values[nodes >= 0.98 * r_top]
-        if np.ptp(outer) > 1e-9 * (1.0 + f.sup_norm()):
-            raise ExtentError(
-                "source not resolved on [0, r + t]: it still varies at the grid boundary",
-                needed=r_top + t,
-                available=r_top,
-            )
-    g = f.moment()
-    # cumulative integral of the piecewise-linear moment, exact per segment
-    M = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(nodes))))
-    f_end = f.values[-1]
-
-    def integral_to(x: NDArray) -> NDArray:
-        inside = np.minimum(x, r_top)
-        idx = np.clip(np.searchsorted(nodes, inside, side="right") - 1, 0, nodes.size - 2)
-        dx = inside - nodes[idx]
-        slope = (g[idx + 1] - g[idx]) / (nodes[idx + 1] - nodes[idx])
-        base = M[idx] + dx * (g[idx] + 0.5 * slope * dx)
-        beyond = x > r_top
-        if np.any(beyond):
-            base = base + np.where(
-                beyond, 0.5 * f_end * (x * x - r_top * r_top), 0.0
-            )
-        return base
-
-    vals = np.empty_like(nodes)
-    pos = nodes > 0
-    vals[pos] = (integral_to(nodes[pos] + t) - integral_to(np.abs(nodes[pos] - t))) / (
-        2.0 * nodes[pos]
-    )
-    vals[0] = float(np.interp(t, nodes, g)) if t <= r_top else f_end * t
-    return RadialField(f.grid, vals, parity="even")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +292,8 @@ def duhamel_apply(
 
 @dataclass
 class IterationState:
-    """Lattice iterate with its predecessor, divergence mask, and trace."""
+    """Lattice iterate with its predecessor, divergence mask, and trace; case
+    is the sampled verdict of criteria's case table, not a certified one."""
 
     n: int
     radii: NDArray
@@ -370,29 +326,22 @@ class IterationState:
 
 
 def _admissibility_case(data: CauchyData) -> Tuple[str, str]:
-    """First satisfied positivity case, as (tag, validity window).
+    """First positivity case the data meet, as (tag, validity window): the
+    sampled verdict of criteria's case table, tried in the order ii, iv (no
+    velocity pole), then for u₀ ≥ 0 i (an expanding outgoing pair) or iii."""
 
-    ii: outgoing derivative of u0 dominates |u1| (all t).  iv: -Δu0
-    dominates |∇u1| (all t).  i: expanding outgoing with u0 >= 0 (t >= 0).
-    iii: u0 >= 0 and u1 >= |∇u0| (t >= 0).
-    """
-    u0, u1 = data.u0, data.u1
-    nodes = data.grid.nodes
-    tol = 1e-12 * (1.0 + u0.sup_norm() + u1.sup_norm())
+    def meets(case: str) -> bool:
+        slack = _dominance(*_case_terms(data, case))
+        return _verdict(case, slack, _levels(data), strict=False, bounds={}).holds
 
-    if radial_positivity(data, strict=False).holds:
+    if meets("ii"):
         return "ii", "all t"
-    if u1.origin_moment == 0.0:
-        lap = _laplacian_fn(u0)(nodes)
-        d1 = differentiate(u1).values
-        if np.min(-lap - np.abs(d1)) >= -tol:
-            return "iv", "all t"
-    if float(np.min(u0.values)) >= -tol:
-        out = outgoing_check(data)
-        if out.bounds.get("orientation") == "expanding":
+    if data.u1.origin_moment == 0.0 and meets("iv"):
+        return "iv", "all t"
+    if meets("i"):
+        if outgoing_check(data).bounds["orientation"] == "expanding":
             return "i", "t >= 0"
-        d0 = differentiate(u0).values
-        if np.min(u1.moment() - nodes * np.abs(d0)) >= -tol:
+        if meets("iii"):
             return "iii", "t >= 0"
     raise AdmissibilityError(
         "monotonicity not guaranteed: data satisfy none of the positivity cases"
@@ -412,7 +361,9 @@ def monotone_iterate(
 
     Monotone growth of the iterates is guaranteed for even N >= 0 and data
     passing one of the positivity cases; other N are accepted for
-    experimentation (source sign(u)|u|^{N+1}) without that guarantee.
+    experimentation (source sign(u)|u|^{N+1}) without that guarantee.  The
+    state's case is the sampled verdict of criteria's case table, tried in
+    the order ii, iv, i, iii; data meeting none raise AdmissibilityError.
     Nodes whose value crosses the cap are masked presumed-infinite and
     absorb their forward light cone.
     """

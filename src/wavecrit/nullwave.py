@@ -326,9 +326,7 @@ def _log_rate_fit(slack, profile, side, t0, r1):
     if np.count_nonzero(keep) < 5:
         return (math.nan, math.nan)
     level = profile.a + s_min[keep] if side == "lower" else profile.b - s_min[keep]
-    # one F_inverse call per level: a batched call iterates every level until
-    # the slowest converges, which moves the others in their last digits
-    us = [abs(profile.F_inverse(y)) for y in level]
+    us = np.abs(profile.F_inverse(level))
     slope, intercept = np.polyfit(-np.log(taus[keep]), us, 1)
     return (float(intercept), float(slope))
 

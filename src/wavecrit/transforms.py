@@ -151,11 +151,15 @@ class NonlinearityProfile:
         lo, hi = self.working_range
         yc = np.clip(y, self._F_table[0], self._F_table[-1])
         x = np.interp(yc, self._F_table, self._ts)
+        # an element stops once it meets rtol, so its digits do not depend
+        # on the other elements of the call
+        moving = np.ones(y.shape, dtype=bool)
         for _ in range(6):
             res = self._F(x) - y
-            if np.all(np.abs(res) <= rtol * (1.0 + np.abs(y))):
+            moving &= np.abs(res) > rtol * (1.0 + np.abs(y))
+            if not np.any(moving):
                 break
-            x = np.clip(x - res / np.maximum(self._Fp(x), 1e-300), lo, hi)
+            x = np.where(moving, np.clip(x - res / np.maximum(self._Fp(x), 1e-300), lo, hi), x)
         res = np.abs(self._F(x) - y)
         stubborn = res > rtol * (1.0 + np.abs(y))
         for k in np.nonzero(stubborn)[0]:

@@ -25,8 +25,7 @@ from wavecrit import (
     kenig_merle_quantities,
     monotone_iterate,
     outgoing_check,
-    propagate_radial,
-    sine_kernel_radial,
+    outgoing_velocity,
     soliton,
     supercritical_envelope,
     supersolution_check,
@@ -129,49 +128,6 @@ def test_crossing_radii_closed_form():
         assert s4(r) < q(r)
     with pytest.raises(ConfigError):
         crossing_radii(N=6)
-
-
-# ---------------------------------------------------------------------------
-# sine kernel
-
-
-def test_kernel_of_unit_source_is_t():
-    one = RadialField(FINE, np.ones(FINE.n))
-    for t in (0.0, 0.7, 2.3, 12.0):  # extension active once t > 0
-        out = sine_kernel_radial(one, t)
-        assert np.max(np.abs(out.values - t)) < 1e-12 * (1 + t)
-
-
-def test_kernel_equals_free_wave_of_velocity_data():
-    f = RadialField(FINE, np.exp(-((FINE.nodes - 3.0) ** 2)))
-    out = sine_kernel_radial(f, 1.5)
-    free = propagate_radial(CauchyData(zero(FINE), f), 1.5)
-    assert np.max(np.abs(out.values - free.values)) < 1e-4
-
-
-def test_kernel_preserves_positivity():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        centers = rng.uniform(0.5, 4.0, size=3)  # supports die out before r_max
-        widths = rng.uniform(0.3, 0.9, size=3)
-        amps = rng.uniform(0.0, 2.0, size=3)
-        vals = sum(
-            a * np.exp(-((FINE.nodes - c) ** 2) / w**2)
-            for a, c, w in zip(amps, centers, widths)
-        )
-        f = RadialField(FINE, vals)
-        for t in (0.4, 1.9):
-            out = sine_kernel_radial(f, t)
-            assert np.min(out.values) >= -1e-13
-
-
-def test_kernel_rejects_unresolved_source_and_negative_time():
-    tail = RadialField(FINE, 1.0 / (1.0 + FINE.nodes))  # still varying at r_max
-    with pytest.raises(ExtentError):
-        sine_kernel_radial(tail, 1.0)
-    one = RadialField(FINE, np.ones(FINE.n))
-    with pytest.raises(ConfigError):
-        sine_kernel_radial(one, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +310,9 @@ def test_lattice_map_keeps_every_bit_of_the_gathers(n_r, fill, N, cap, seed):
     "q,m", [(0, 0), (1, 0), (7, 3), (20, 0), (20, 9), (12, 10)]
 )
 def test_unit_impulse_stays_in_its_forward_cone(q, m):
-    # what masking relies on: a source node reaches only its forward cone
+    # what masking relies on: a source node reaches only its forward cone;
+    # and the kernel is positive with no tolerance, since the cumulative
+    # moment is nondecreasing and i + s >= |i - s|
     n_r, n_t = 21, 11
     nodes = 0.05 * np.arange(n_r)
     source = np.zeros((n_r, n_t))
@@ -362,6 +320,7 @@ def test_unit_impulse_stays_in_its_forward_cone(q, m):
     out = _duhamel_lattice(np.zeros((n_r, n_t)), source, nodes, 0.0, np.inf)
     cone = _infected_mask(source > 0)
     assert np.all(out[~cone] == 0.0)
+    assert np.all(out >= 0.0)
     if 0 < q and m < n_t - 1:
         assert np.any(out[cone] != 0.0)
 
@@ -554,6 +513,29 @@ def test_ordered_data_give_ordered_iterates(seed):
         live = hi.trusted & np.isfinite(a) & np.isfinite(b)
         assert np.min((a - b)[live]) > -1e-12  # u_n >= v_n
         assert np.min(b[live]) > -1e-12  # v_n >= 0
+
+
+def _gaussian(grid=GRID):
+    return RadialField(grid, np.exp(-(grid.nodes**2)))
+
+
+CASE_DATA = {
+    "ii": lambda: ground_data(0.7),
+    "iii": lambda: _scaled_velocity_data(GRID, 0.7),  # a 1/r velocity pole
+    "i": lambda: CauchyData(_gaussian(), outgoing_velocity(_gaussian(), "expanding")),
+    "iv": lambda: CauchyData(
+        inverse_laplacian_radial(lambda s: (1.0 + s * s) ** -2.0, GRID),
+        RadialField(GRID, np.full(GRID.n, 0.05)),
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(CASE_DATA))
+def test_case_is_the_first_case_the_data_meet(tag):
+    # one datum per tag of the case table; the refusal is the next test
+    state = monotone_iterate(CASE_DATA[tag](), 4, 0.5)
+    assert state.case == tag
+    assert state.validity == ("all t" if tag in ("ii", "iv") else "t >= 0")
 
 
 def test_inadmissible_data_are_refused():

@@ -1,7 +1,11 @@
 """Profile construction, endpoint classification, and u ↔ v transport."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavecrit import CauchyData, InvertibilityError, RadialField, RadialGrid, as_general
 from wavecrit.transforms import (
@@ -115,6 +119,35 @@ class TestProfileInvariants:
     def test_working_range_guard(self, linear_profile):
         with pytest.raises(ValueError):
             linear_profile.F(1e3)
+
+
+BUILTIN_WEIGHTS = [
+    ("const", 1.0),
+    ("const", -1.0),
+    ("linear", 1.0),
+    ("linear", -1.0),
+    ("sin", None),
+    ("neg_arctan", None),
+]
+
+
+@lru_cache(maxsize=None)
+def builtin_profile(name, param):
+    return build_profile(builtin_nonlinearity(name, param))
+
+
+@settings(max_examples=160, deadline=None)
+@given(
+    weight=st.sampled_from(BUILTIN_WEIGHTS),
+    ts=st.lists(st.floats(-6.0, 6.0), min_size=17, max_size=17),
+)
+def test_inverse_of_a_batch_is_the_inverse_of_each_value(weight, ts):
+    # each value keeps the digits it gets alone, whatever else is in the call
+    profile = builtin_profile(*weight)
+    y = profile.F(np.array(ts))
+    y = y[(y > profile.a) & (y < profile.b)]
+    one_by_one = np.array([profile.F_inverse(v) for v in y])
+    assert np.array_equal(profile.F_inverse(y), one_by_one)
 
 
 def radial_data(n=401, r_max=8.0):
