@@ -215,7 +215,8 @@ def _weight(name: str, param: Optional[float]):
 @functools.lru_cache(maxsize=1)
 def _weight_profile(name: str, param: Optional[float]):
     # profiles are immutable, so the actions on one weight spec share one;
-    # a single entry, because each profile holds ~0.8 MB of tables
+    # a single entry, because a tabulated profile (sin, neg_arctan, linear
+    # k ≤ 0) holds ~0.8 MB of tables; const and linear k > 0 are closed forms
     return build_profile(_weight(name, param))
 
 

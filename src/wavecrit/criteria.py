@@ -293,7 +293,12 @@ def outgoing_check(data: CauchyData, tol: float = 1e-6) -> Verdict:
     the printed relation propagates inward in forward time ("collapsing"),
     its sign mirror propagates outward ("expanding")."""
     _require_radial(data, "outgoing_check")
-    s0, (m1,) = _case_terms(data, "ii")
+    return _outgoing_verdict(data, _case_terms(data, "ii"), tol)
+
+
+def _outgoing_verdict(data: CauchyData, sides, tol: float = 1e-6) -> Verdict:
+    """outgoing_check of radial data given their case-ii sides (s0, [m1])."""
+    s0, (m1,) = sides
     pts = _points(data.grid, 1)
     res_col = np.abs(s0(pts) - m1(pts))
     res_exp = np.abs(s0(pts) + m1(pts))
@@ -385,7 +390,9 @@ def _nirenberg_like(profile: NonlinearityProfile, lo: float, hi: float) -> bool:
 def quadratic_global_condition(data: CauchyData, profile: NonlinearityProfile) -> Verdict:
     """Sharp global-existence condition for the null-form equation: on each
     side with a finite endpoint, r(∓(u₀)_r + |u₁|) must stay below the
-    integrating-factor gap (F(u₀)−a)/F′(u₀) resp. (b−F(u₀))/F′(u₀).  Both
+    integrating-factor gap (F(u₀)−a)/F′(u₀) resp. (b−F(u₀))/F′(u₀), the
+    profile's lower_gap and upper_gap (exact for the closed forms, where the
+    subtraction would lose every digit once F(u₀) rounds to b).  Both
     endpoints infinite means no condition (vacuous hold).  margin is the
     sharp ε; for the constant-unit nonlinearity the payload adds the c₀
     constant, the solution range, and the 1/r slope bounds."""
@@ -404,14 +411,12 @@ def quadratic_global_condition(data: CauchyData, profile: NonlinearityProfile) -
 
     def slack(r):
         x = sp0(r)
-        fp = profile.F_prime(x)
-        fx = profile.F(x)
         w = np.abs(m1(r))
         vals = np.full(np.shape(r), np.inf)
         if np.isfinite(a):
-            vals = np.minimum(vals, (fx - a) / fp - (-(r * d0(r)) + w))
+            vals = np.minimum(vals, profile.lower_gap(x) - (-(r * d0(r)) + w))
         if np.isfinite(b):
-            vals = np.minimum(vals, (b - fx) / fp - (r * d0(r) + w))
+            vals = np.minimum(vals, profile.upper_gap(x) - (r * d0(r) + w))
         return vals
 
     margin, loc = _stable_min(slack, _levels(data))

@@ -27,8 +27,8 @@ from .criteria import (
     _dominance,
     _laplacian_fn,
     _levels,
+    _outgoing_verdict,
     _verdict,
-    outgoing_check,
 )
 from .errors import (
     AdmissibilityError,
@@ -330,16 +330,17 @@ def _admissibility_case(data: CauchyData) -> Tuple[str, str]:
     sampled verdict of criteria's case table, tried in the order ii, iv (no
     velocity pole), then for u₀ ≥ 0 i (an expanding outgoing pair) or iii."""
 
-    def meets(case: str) -> bool:
-        slack = _dominance(*_case_terms(data, case))
-        return _verdict(case, slack, _levels(data), strict=False, bounds={}).holds
+    def meets(case: str, sides=None) -> bool:
+        sides = _case_terms(data, case) if sides is None else sides
+        return _verdict(case, _dominance(*sides), _levels(data), strict=False, bounds={}).holds
 
-    if meets("ii"):
+    ii = _case_terms(data, "ii")  # also the orientation test of case i
+    if meets("ii", ii):
         return "ii", "all t"
     if data.u1.origin_moment == 0.0 and meets("iv"):
         return "iv", "all t"
     if meets("i"):
-        if outgoing_check(data).bounds["orientation"] == "expanding":
+        if _outgoing_verdict(data, ii).bounds["orientation"] == "expanding":
             return "i", "t >= 0"
         if meets("iii"):
             return "iii", "t >= 0"

@@ -88,6 +88,10 @@ class BlowupReport:
     t0 is the touch time (signed), x0_radius the touch radius r₁, window the
     witness radius r₀ guaranteeing |t0| ≤ window, and log_rate_fit = (C, slope)
     the least-squares fit of the local sup of |u| against |ln|t - t0||.
+    t0 is the first touch inside the cone r ≤ r₀ - |t|, not the solution's
+    first blow-up: v may reach the endpoint earlier outside the cone, so
+    the solution has ceased by t0 and |t0| only bounds the blow-up time in
+    that direction from above.
     """
 
     t0: float
@@ -343,6 +347,8 @@ def detect_blowup(
     wave proves touch-free, so it finds the same first touching scan time,
     and the same bisection, as a scan of every time.  When several
     combinations fail the earliest |t0| wins, positive direction on a tie.
+    The touch is the first inside the cones, not the first anywhere: v can
+    reach the endpoint earlier at radii outside them (see BlowupReport).
     """
     pair = dalembert_split(push_forward(data, profile))
     return _locate_blowup(pair, FreePropagator(pair), profile, fit_rate)

@@ -11,15 +11,19 @@ gives (-√(π/2), +√(π/2)), f(u) = -u or sin or -arctan give (-∞, +∞)).
 Substituting v = F(u) linearizes the quadratic null-form equation, so data
 move between pictures by v₀ = F(u₀), v₁ = F'(u₀) u₁ and back by F⁻¹.
 
-Everything is numeric: the inner integral is cached on a dense grid with
-8-node Gauss-Legendre panels, endpoints are classified by integrating to a
-cutoff and fitting the integrand tail (exponential first, then power law),
-and F⁻¹ runs vectorized Newton on the tabulated spline.  A profile is
-immutable after construction and safe to share.
+The builtin weights const (f ≡ c) and linear (f(u) = ku, k > 0) have closed
+forms: F = -expm1(-cu)/c (F = u for c = 0) and F = √(π/2k)·erf(u√(k/2)), with
+exact endpoints, inverses and endpoint gaps (b - F)/F' and (F - a)/F'.  Every
+other f is numeric: the inner integral is cached on a dense grid with 8-node
+Gauss-Legendre panels, endpoints are classified by integrating to a cutoff
+and fitting the integrand tail (exponential first, then power law), and F⁻¹
+runs vectorized Newton on the tabulated spline.  A profile is immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -27,6 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.interpolate import PPoly
 from scipy.optimize import brentq
+from scipy.special import erf, erfcx, erfinv
 
 from .errors import InvertibilityError
 from .freewave import CauchyData
@@ -52,9 +57,10 @@ _DECAY_TINY = 1e-12
 class EndpointClassification:
     """Finite/infinite decision for each end of ran F, with numeric values.
 
-    confidence is "resolved" only when the caller supplied the endpoint;
-    purely numerical classification is always "heuristic" because
-    finiteness of an improper integral is not decidable from samples.
+    confidence is "resolved" when the caller supplied the endpoint or the
+    profile is a closed form; the classification of a table is always
+    "heuristic" because finiteness of an improper integral is not decidable
+    from samples.
     """
 
     minus_infinity: str
@@ -82,38 +88,25 @@ class EndpointClassification:
 
 
 class NonlinearityProfile:
-    """Tabulated F and its companions for one nonlinearity f.
+    """F and its companions for one nonlinearity f.
 
-    Attributes: f, a, b, classification, name, working_range (the tabulated
-    t-interval; evaluation outside it raises).  F, F_prime, F_second, and
-    F_inverse are vectorized callables.  g is the cubic spline of the inner
-    integral g(t) = ∫₀^t f on the table abscissae ts, and F' = exp(-g).
+    Attributes: f, a, b, classification, name, working_range (the
+    t-interval of the profile; evaluation outside it raises).  F, F_prime,
+    F_second, F_inverse, upper_gap and lower_gap are vectorized callables;
+    F' = exp(-g) with g(t) = ∫₀^t f.  build_profile returns the closed form
+    for the builtin weights const and linear (k > 0) and a table for every
+    other f; each subclass gives _F (F on checked arrays) and _invert (F⁻¹
+    of values inside (a, b)), and may replace the gaps' subtraction.
     """
 
-    def __init__(
-        self,
-        f: Callable[[NDArray], NDArray],
-        ts: NDArray,
-        g: PPoly,
-        f_table: NDArray,
-        classification: EndpointClassification,
-        name: str = "custom",
-    ):
+    def __init__(self, f, g, classification: EndpointClassification, working_range, name):
         self.f = f
         self.name = name
         self.classification = classification
         self.a = classification.a
         self.b = classification.b
-        self._ts = ts
         self._g = g
-        self._F = cubic_spline(ts, f_table)
-        self._Fp = self._F.derivative()
-        self._F_table = f_table
-        self.working_range = (float(ts[0]), float(ts[-1]))
-        # strictly increasing up to saturation: increments near a finite
-        # endpoint fall below double resolution and may tie, never decrease
-        if np.any(np.diff(f_table) < 0):
-            raise ValueError("quadrature failure: tabulated F is not monotone")
+        self.working_range = (float(working_range[0]), float(working_range[1]))
 
     def _check_range(self, x: NDArray) -> NDArray:
         x = np.asarray(x, dtype=float)
@@ -124,18 +117,18 @@ class NonlinearityProfile:
             )
         return x
 
+    def _F_prime(self, x: NDArray) -> NDArray:
+        return np.exp(-self._g(x))
+
     def F(self, x):
-        out = self._F(self._check_range(x))
-        return float(out) if np.ndim(x) == 0 else out
+        return _like(x, self._F(self._check_range(x)))
 
     def F_prime(self, x):
-        out = np.exp(-self._g(self._check_range(x)))
-        return float(out) if np.ndim(x) == 0 else out
+        return _like(x, self._F_prime(self._check_range(x)))
 
     def F_second(self, x):
         x = self._check_range(x)
-        out = -np.asarray(self.f(x)) * np.exp(-self._g(x))
-        return float(out) if np.ndim(x) == 0 else out
+        return _like(x, -np.asarray(self.f(x)) * self._F_prime(x))
 
     def F_inverse(self, y, rtol: float = 1e-12):
         scalar = np.ndim(y) == 0
@@ -148,6 +141,45 @@ class NonlinearityProfile:
                 witness_index=k,
                 witness_value=float(y[k]),
             )
+        x = self._invert(y, rtol)
+        return float(x[0]) if scalar else x
+
+    def upper_gap(self, x):
+        """(b - F(x))/F'(x), the room left below b in units of the slope."""
+        return _like(x, self._upper_gap(self._check_range(x)))
+
+    def lower_gap(self, x):
+        """(F(x) - a)/F'(x), the room left above a in units of the slope."""
+        return _like(x, self._lower_gap(self._check_range(x)))
+
+    def _upper_gap(self, x: NDArray) -> NDArray:
+        return (self.b - self._F(x)) / self._F_prime(x)
+
+    def _lower_gap(self, x: NDArray) -> NDArray:
+        return (self._F(x) - self.a) / self._F_prime(x)
+
+
+def _like(x, out):
+    """out as a float when x is a scalar."""
+    return float(out) if np.ndim(x) == 0 else out
+
+
+class _TabulatedProfile(NonlinearityProfile):
+    """F as a cubic spline of its table on the abscissae ts, g as the spline
+    of the inner integral; F⁻¹ by vectorized Newton on the spline."""
+
+    def __init__(self, f, ts: NDArray, g: PPoly, f_table: NDArray, classification, name):
+        super().__init__(f, g, classification, (ts[0], ts[-1]), name)
+        self._ts = ts
+        self._F = cubic_spline(ts, f_table)
+        self._Fp = self._F.derivative()
+        self._F_table = f_table
+        # strictly increasing up to saturation: increments near a finite
+        # endpoint fall below double resolution and may tie, never decrease
+        if np.any(np.diff(f_table) < 0):
+            raise ValueError("quadrature failure: tabulated F is not monotone")
+
+    def _invert(self, y: NDArray, rtol: float) -> NDArray:
         lo, hi = self.working_range
         yc = np.clip(y, self._F_table[0], self._F_table[-1])
         x = np.interp(yc, self._F_table, self._ts)
@@ -164,7 +196,70 @@ class NonlinearityProfile:
         stubborn = res > rtol * (1.0 + np.abs(y))
         for k in np.nonzero(stubborn)[0]:
             x[k] = brentq(lambda s: self._F(s) - y[k], lo, hi, xtol=1e-14)
-        return float(x[0]) if scalar else x
+        return x
+
+
+@dataclass(frozen=True)
+class _ClosedForm:
+    """g, F, F⁻¹, the endpoints and the gap on each finite side of one
+    weight, as exact formulas; an infinite side has no gap (None)."""
+
+    g: Callable[[NDArray], NDArray]
+    F: Callable[[NDArray], NDArray]
+    inverse: Callable[[NDArray], NDArray]
+    a: float
+    b: float
+    upper_gap: Optional[Callable[[NDArray], NDArray]] = None
+    lower_gap: Optional[Callable[[NDArray], NDArray]] = None
+
+
+def _closed_form(f) -> Optional[_ClosedForm]:
+    """The exact profile of the builtin const(c) and linear(k > 0) weights,
+    read from the (name, param) that builtin_nonlinearity records on f;
+    None for every other f."""
+    name, p = getattr(f, "builtin", (None, None))
+    if name == "const" and p == 0.0:
+        return _ClosedForm(np.zeros_like, lambda t: 1.0 * t, lambda y: 1.0 * y, -np.inf, np.inf)
+    if name == "const":
+        gap = lambda t: np.full_like(t, 1.0 / abs(p))
+        return _ClosedForm(
+            lambda t: p * t,
+            lambda t: -np.expm1(-p * t) / p,
+            lambda y: -np.log1p(-p * y) / p,
+            *((-np.inf, 1.0 / p, gap, None) if p > 0.0 else (1.0 / p, np.inf, None, gap)),
+        )
+    if name == "linear" and p > 0.0:
+        s, half = math.sqrt(0.5 * p), math.sqrt(0.5 * math.pi / p)
+        return _ClosedForm(
+            lambda t: 0.5 * p * t * t,
+            lambda t: half * erf(s * t),
+            lambda y: erfinv(y / half) / s,
+            -half,
+            half,
+            upper_gap=lambda t: half * erfcx(s * t),
+            lower_gap=lambda t: half * erfcx(-s * t),
+        )
+    return None
+
+
+class _ClosedFormProfile(NonlinearityProfile):
+    """A profile whose F, F⁻¹ and gaps are exact formulas; a gap keeps the
+    subtraction when an endpoints override moved its endpoint."""
+
+    def __init__(self, f, form: _ClosedForm, classification, working_range, name):
+        super().__init__(f, form.g, classification, working_range, name)
+        self._F = form.F
+        self._inverse = form.inverse
+        self._reach = form.F(np.array(self.working_range))  # F at the ends of the range
+        if form.upper_gap is not None and self.b == form.b:
+            self._upper_gap = form.upper_gap
+        if form.lower_gap is not None and self.a == form.a:
+            self._lower_gap = form.lower_gap
+
+    def _invert(self, y: NDArray, rtol: float) -> NDArray:
+        if np.any(y < self._reach[0]) or np.any(y > self._reach[1]):
+            raise ValueError(f"value beyond F of the working range of profile {self.name!r}")
+        return np.clip(self._inverse(y), *self.working_range)
 
 
 def _classify_side(ts: NDArray, w: NDArray, slope_end: float, cropped: bool):
@@ -187,6 +282,20 @@ def _classify_side(ts: NDArray, w: NDArray, slope_end: float, cropped: bool):
     return None
 
 
+def _crop(g: NDArray) -> Tuple[int, bool]:
+    """Length of one side of the working range and whether it was cut by
+    overflow: a side stops where exp(-g) would overflow (that side is then
+    surely infinite) or underflow to exact zero (a table would go flat and
+    non-monotone)."""
+    over = np.nonzero(g < -_LOG_CAP)[0]
+    under = np.nonzero(g > _LOG_CAP)[0]
+    if over.size and (not under.size or over[0] <= under[0]):
+        return int(over[0]), True
+    if under.size:
+        return int(under[0]), False
+    return g.size, False
+
+
 def build_profile(
     f: Callable[[NDArray], NDArray],
     t_cut: float = 50.0,
@@ -194,61 +303,58 @@ def build_profile(
     endpoints: Optional[Tuple[Optional[float], Optional[float]]] = None,
     name: str = "custom",
 ) -> NonlinearityProfile:
-    """Tabulate F for f and classify the endpoint interval (a, b).
+    """The profile of f and its endpoint interval (a, b).
 
-    The inner integral g(t) = ∫₀^t f is accumulated on a dense grid with
-    8-node panels; each side of the table stops early where exp(-g) would
-    overflow (that side is then surely infinite).  Endpoints default to a
-    heuristic classification from the integrand tail at |t| = t_cut;
-    passing endpoints=(a, b) (either entry may be None) overrides the
-    matching side and marks the classification "resolved".
+    The working range is a dense grid on [-t_cut, t_cut], each side stopping
+    early where exp(-g) would overflow or underflow.  The builtin weights
+    const (every c) and linear (k > 0) get their closed forms, with exact
+    endpoints marked "resolved".  For every other f the inner integral
+    g(t) = ∫₀^t f is accumulated on that grid with 8-node panels, F is
+    tabulated from it, and the endpoints get a heuristic classification
+    from the integrand tail at |t| = t_cut.  Passing endpoints=(a, b)
+    (either entry may be None) overrides the matching side and marks the
+    classification "resolved".
     """
     fa = _as_array_fn(f)
+    form = _closed_form(f)
     n_right = max(8, int(round(t_cut * samples_per_unit)))
     ts_right = np.linspace(0.0, t_cut, n_right + 1)
     ts_left = -ts_right
+    inner = (lambda ts: panel_cumulative(fa, ts)) if form is None else form.g
     try:
-        g_right = panel_cumulative(fa, ts_right)
-        g_left = panel_cumulative(fa, ts_left)
+        g_right = inner(ts_right)
+        g_left = inner(ts_left)
     except Exception as exc:
         raise ValueError(f"nonlinearity not evaluable on the working range: {exc}") from exc
     if not (np.all(np.isfinite(g_right)) and np.all(np.isfinite(g_left))):
         raise ValueError("nonlinearity produced non-finite inner integral")
 
-    # crop each side where exp(-g) would overflow (that side diverges) or
-    # underflow to exact zero (the table would go flat and non-monotone)
-    def crop(g):
-        over = np.nonzero(g < -_LOG_CAP)[0]
-        under = np.nonzero(g > _LOG_CAP)[0]
-        if over.size and (not under.size or over[0] <= under[0]):
-            return int(over[0]), True
-        if under.size:
-            return int(under[0]), False
-        return g.size, False
-
-    end_r, overflow_r = crop(g_right)
-    end_l, overflow_l = crop(g_left)
+    end_r, overflow_r = _crop(g_right)
+    end_l, overflow_l = _crop(g_left)
     if end_r < 9 or end_l < 9:
         raise ValueError("integrand overflows too close to 0; rescale the nonlinearity")
     ts_right, g_right = ts_right[:end_r], g_right[:end_r]
     ts_left, g_left = ts_left[:end_l], g_left[:end_l]
 
-    ts = np.concatenate([ts_left[::-1][:-1], ts_right])
-    g_values = np.concatenate([g_left[::-1][:-1], g_right])
-    g_spline = cubic_spline(ts, g_values)
-    f_table = panel_cumulative(lambda s: np.exp(-g_spline(s)), ts_right)
-    f_table_left = panel_cumulative(lambda s: np.exp(-g_spline(s)), ts_left)
-    full_table = np.concatenate([f_table_left[::-1][:-1], f_table])
+    if form is None:
+        ts = np.concatenate([ts_left[::-1][:-1], ts_right])
+        g_values = np.concatenate([g_left[::-1][:-1], g_right])
+        g_spline = cubic_spline(ts, g_values)
+        f_table = panel_cumulative(lambda s: np.exp(-g_spline(s)), ts_right)
+        f_table_left = panel_cumulative(lambda s: np.exp(-g_spline(s)), ts_left)
+        full_table = np.concatenate([f_table_left[::-1][:-1], f_table])
 
-    rem_b = _classify_side(
-        ts_right, np.exp(-g_right), float(fa(ts_right[-1:])[0]), cropped=overflow_r
-    )
-    rem_a = _classify_side(
-        -ts_left, np.exp(-g_left), -float(fa(ts_left[-1:])[0]), cropped=overflow_l
-    )
-    b = np.inf if rem_b is None else float(f_table[-1] + rem_b)
-    a = -np.inf if rem_a is None else float(f_table_left[-1] - rem_a)
-    confidence = "heuristic"
+        rem_b = _classify_side(
+            ts_right, np.exp(-g_right), float(fa(ts_right[-1:])[0]), cropped=overflow_r
+        )
+        rem_a = _classify_side(
+            -ts_left, np.exp(-g_left), -float(fa(ts_left[-1:])[0]), cropped=overflow_l
+        )
+        b = np.inf if rem_b is None else float(f_table[-1] + rem_b)
+        a = -np.inf if rem_a is None else float(f_table_left[-1] - rem_a)
+        confidence = "heuristic"
+    else:
+        a, b, confidence = form.a, form.b, "resolved"
     if endpoints is not None:
         user_a, user_b = endpoints
         if user_a is not None:
@@ -263,7 +369,9 @@ def build_profile(
         b=b,
         confidence=confidence,
     )
-    return NonlinearityProfile(f, ts, g_spline, full_table, classification, name=name)
+    if form is None:
+        return _TabulatedProfile(f, ts, g_spline, full_table, classification, name)
+    return _ClosedFormProfile(f, form, classification, (ts_left[-1], ts_right[-1]), name)
 
 
 def _as_array_fn(f: Callable) -> Callable[[NDArray], NDArray]:
@@ -273,11 +381,18 @@ def _as_array_fn(f: Callable) -> Callable[[NDArray], NDArray]:
     return fn
 
 
+def _builtin(name: str, f: Callable, param: Optional[float] = None):
+    """f as an array function that records (name, param) for build_profile."""
+    fn = _as_array_fn(f)
+    fn.builtin = (name, param)
+    return fn
+
+
 BUILTIN_NONLINEARITIES = {
-    "const": lambda c=1.0: _as_array_fn(lambda u: np.full_like(u, float(c))),
-    "linear": lambda k=1.0: _as_array_fn(lambda u: float(k) * u),
-    "sin": lambda: _as_array_fn(np.sin),
-    "neg_arctan": lambda: _as_array_fn(lambda u: -np.arctan(u)),
+    "const": lambda c=1.0: _builtin("const", lambda u: np.full_like(u, float(c)), float(c)),
+    "linear": lambda k=1.0: _builtin("linear", lambda u: float(k) * u, float(k)),
+    "sin": lambda: _builtin("sin", np.sin),
+    "neg_arctan": lambda: _builtin("neg_arctan", lambda u: -np.arctan(u)),
 }
 
 

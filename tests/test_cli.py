@@ -200,8 +200,8 @@ def test_verify_all(tmp_path, capsys):
 # bit-identical across refactors and speed-ups; a digest changes only
 # together with a CHANGES.md line that states the drift.
 VERIFY_ALL_SHA256 = {
-    "blowup-gaussian-f1-blowup.json": "c96aff2781727f6a486be30dbbedba78996a46e22d10263dea029e05d16e5f52",
-    "constant-null-classify.json": "4b98cbea257b4ccac3d90da6b52e7f624e689b0ef14b57c76cbcaee7302eb5aa",
+    "blowup-gaussian-f1-blowup.json": "b3d0bc600b28c6255fd77cc58d2fcae9a9848435853ddc27ec5e9caa6534f989",
+    "constant-null-classify.json": "c424150424c94cfa1fda577811fe8ef7c26a2e33a8f88476efd5721f80c5926b",
     "iterate-ground-iterate.csv": "16d7246917bd2f2c1cd7d683cf7046a5c317f6975dda130127d16b409d2a2dbb",
     "iterate-ground-iterate.gp": "452739cc040c70390bfd840309671365baff5dbe3b6c43ffeb165dc00412a9b6",
     "iterate-ground-iterate.json": "79c10b3fe1ba64086bc4eba553448b021e7f6fd532009d6e42e9a4110d2c2302",

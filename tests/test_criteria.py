@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcx
 
 from wavecrit import (
     AdmissibilityError,
@@ -383,6 +384,17 @@ class TestQuadraticGlobalCondition:
         du0 = -2.0 * (r - 1.0) * 0.4 * np.exp(-((r - 1.0) ** 2))
         direct = np.min(1.0 - r * (du0 + np.abs(data.u1.values)))
         assert v.margin == pytest.approx(direct, rel=1e-3)
+
+    def test_gap_near_the_endpoint_keeps_its_digits(self):
+        # f(u) = u at u₀(0) = 9: F(9) rounds to b, but the gap
+        # √(π/2)·erfcx(9/√2) = 0.10979 still decides the verdict
+        data = radial_pair(
+            lambda r: 9.0 / np.sqrt(1.0 + (r / 5.0) ** 2), zeros, RadialGrid.uniform(40.0, 801)
+        )
+        v = quadratic_global_condition(data, build_profile(builtin_nonlinearity("linear", 1.0)))
+        assert v.holds
+        exact = math.sqrt(math.pi / 2.0) * erfcx(9.0 / math.sqrt(2.0))  # 0.109787
+        assert v.margin == pytest.approx(exact, abs=1e-6)
 
     def test_rejects_raw_callable(self):
         with pytest.raises(ConfigError):

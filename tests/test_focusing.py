@@ -538,6 +538,17 @@ def test_case_is_the_first_case_the_data_meet(tag):
     assert state.validity == ("all t" if tag in ("ii", "iv") else "t >= 0")
 
 
+def test_case_table_builds_the_case_ii_sides_once(monkeypatch):
+    # the orientation test of case i shares the case-ii sides of the ii verdict
+    from wavecrit import criteria
+
+    calls = []
+    reduce = criteria.reduce_to_line
+    monkeypatch.setattr(criteria, "reduce_to_line", lambda f: calls.append(f) or reduce(f))
+    assert focusing._admissibility_case(CASE_DATA["iii"]()) == ("iii", "t >= 0")
+    assert len(calls) == 1
+
+
 def test_inadmissible_data_are_refused():
     bump = RadialField(GRID, -np.exp(-(GRID.nodes**2)))
     with pytest.raises(AdmissibilityError, match="monotonicity not guaranteed"):

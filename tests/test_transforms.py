@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcx
 
 from wavecrit import CauchyData, InvertibilityError, RadialField, RadialGrid, as_general
 from wavecrit.transforms import (
@@ -56,7 +57,8 @@ class TestEndpoints:
         np.testing.assert_allclose(p.F(ts), ts, atol=1e-12)
 
     def test_confidence_heuristic_by_default(self):
-        p = build_profile(builtin_nonlinearity("const", 1.0))
+        # a custom f is tabulated, and a tabulated endpoint is a heuristic
+        p = build_profile(lambda u: np.ones_like(u))
         assert p.classification.confidence == "heuristic"
 
     def test_user_override_resolves(self):
@@ -148,6 +150,100 @@ def test_inverse_of_a_batch_is_the_inverse_of_each_value(weight, ts):
     y = y[(y > profile.a) & (y < profile.b)]
     one_by_one = np.array([profile.F_inverse(v) for v in y])
     assert np.array_equal(profile.F_inverse(y), one_by_one)
+
+
+# -- closed forms of the builtin const and linear weights ----------------------
+
+EXACT_WEIGHTS = [("const", 1.0), ("const", -0.8), ("const", 0.0), ("linear", 1.0), ("linear", 0.8)]
+
+
+def equivalent_lambda(name, param):
+    # the same f as a custom callable, which build_profile tabulates
+    if name == "const":
+        return lambda u: np.full_like(u, param)
+    return lambda u: param * u
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    weight=st.one_of(
+        st.tuples(st.just("const"), st.floats(-1.25, 1.25)),
+        st.tuples(st.just("linear"), st.floats(0.25, 1.5)),
+    ),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+)
+def test_closed_form_matches_the_table_of_the_same_f(weight, fractions):
+    exact = build_profile(builtin_nonlinearity(*weight))
+    table = build_profile(equivalent_lambda(*weight))
+    assert exact.classification.confidence == "resolved"
+    assert table.classification.confidence == "heuristic"
+    assert exact.working_range == table.working_range
+    lo, hi = exact.working_range
+    x = lo + (hi - lo) * np.array(fractions)
+    for method in ("F_prime", "F_second"):
+        np.testing.assert_allclose(
+            getattr(exact, method)(x), getattr(table, method)(x), rtol=1e-10, atol=0.0
+        )
+    # the table's F carries its spline error, about 2e-9 c⁴ of max(|F|, F')
+    scale = np.maximum(np.abs(exact.F(x)), exact.F_prime(x))
+    assert np.all(np.abs(exact.F(x) - table.F(x)) <= 1e-8 * scale)
+
+
+@pytest.mark.parametrize("weight", EXACT_WEIGHTS)
+def test_closed_form_inverse_residual_up_to_the_endpoints(weight):
+    p = build_profile(builtin_nonlinearity(*weight))
+    lo, hi = p.working_range
+    y = p.F(np.linspace(lo, hi, 4001))
+    for end in (p.a, p.b):
+        if np.isfinite(end):
+            y = np.concatenate([y, end * (1.0 - 2.0 ** -np.arange(1.0, 53.0))])
+    y = y[(y > p.a) & (y < p.b)]
+    assert np.all(np.abs(p.F(p.F_inverse(y)) - y) <= 1e-12 * (1.0 + np.abs(y)))
+
+
+def test_closed_form_endpoints_are_exact_and_resolved():
+    for c in (1.0, 0.8, 1.25):
+        p = build_profile(builtin_nonlinearity("const", c))
+        assert (p.a, p.b) == (-np.inf, 1.0 / c)
+        q = build_profile(builtin_nonlinearity("const", -c))
+        assert (q.a, q.b) == (-1.0 / c, np.inf)
+    for k in (1.0, 0.8, 1.25):
+        p = build_profile(builtin_nonlinearity("linear", k))
+        assert p.b == -p.a == np.sqrt(np.pi / (2.0 * k))
+        assert p.classification.confidence == "resolved"
+
+
+@pytest.mark.parametrize("weight", [*EXACT_WEIGHTS, ("const", 20.0)])
+def test_closed_form_keeps_the_working_range_guards(weight):
+    p = build_profile(builtin_nonlinearity(*weight))
+    assert p.working_range == build_profile(equivalent_lambda(*weight)).working_range
+    lo, hi = p.working_range
+    for method in ("F", "F_prime", "F_second", "upper_gap", "lower_gap"):
+        for x in (lo - 1e-9, hi + 1e-9):
+            with pytest.raises(ValueError):
+                getattr(p, method)(x)
+    with pytest.raises(InvertibilityError):
+        p.F_inverse(p.b if np.isfinite(p.b) else np.nan)
+    if not np.isfinite(p.b):  # beyond F of the working range, yet below b
+        with pytest.raises(ValueError):
+            p.F_inverse(2.0 * p.F(hi))
+
+
+def test_gaps_of_the_closed_forms():
+    # f ≡ 1: (b - F)/F' = 1 everywhere, where b - F alone rounds to 0
+    p = build_profile(builtin_nonlinearity("const", 1.0))
+    assert np.array_equal(p.upper_gap(np.array([0.0, 10.0, 36.0, 45.0])), np.ones(4))
+    assert np.all(p.lower_gap(np.array([-3.0, 0.0, 3.0])) == np.inf)
+    q = build_profile(builtin_nonlinearity("const", -0.8))
+    assert q.lower_gap(40.0) == 1.25 and q.upper_gap(0.0) == np.inf
+    # f(u) = u: the gaps are √(π/2)·erfcx(±u/√2)
+    lin = build_profile(builtin_nonlinearity("linear", 1.0))
+    u = np.linspace(-9.0, 9.0, 37)
+    np.testing.assert_allclose(lin.upper_gap(u), ROOT_HALF_PI * erfcx(u / np.sqrt(2.0)), rtol=1e-13)
+    np.testing.assert_allclose(lin.lower_gap(u), ROOT_HALF_PI * erfcx(-u / np.sqrt(2.0)), rtol=1e-13)
+    # an endpoints override that moves b falls back to the subtraction
+    moved = build_profile(builtin_nonlinearity("const", 1.0), endpoints=(None, 2.0))
+    assert moved.upper_gap(0.0) == 2.0
 
 
 def radial_data(n=401, r_max=8.0):
