@@ -213,7 +213,10 @@ class Field3D:
 
     grad and laplacian may be omitted; central differences with step
     fd_step fill in.  support_radius bounds the region where the field is
-    numerically nonnegligible and sizes the quadrature cubes.
+    numerically nonnegligible and sizes the quadrature cubes.  The cubes
+    pass column-major, read-only (N, 3) views of a reused buffer, which a
+    callable must not keep; axis-1 sums and norms of them round as on
+    row-major input, BLAS-backed reductions (p @ w, einsum) may not.
     """
 
     fn: Callable[[NDArray], NDArray]
@@ -429,13 +432,14 @@ _WORKSPACE = threading.local()
 
 def _cube_workspace(n_side: int) -> tuple:
     """This thread's buffers for n_side cubes, made on first use and reused
-    by every later cube of that size: the sample points, the masses padded
-    with zeros along the last axis, and the (2n−2, 2n−2, n) transform."""
+    by every later cube of that size: the sample points one coordinate after
+    another, the masses padded with zeros along the last axis, and the
+    (2n−2, 2n−2, n) transform."""
     ws = getattr(_WORKSPACE, "cube", None)
-    if ws is None or len(ws[0]) != n_side:
+    if ws is None or ws[0].shape[1] != n_side:
         size = 2 * n_side - 2
         ws = _WORKSPACE.cube = (
-            np.empty((n_side,) * 3 + (3,)),
+            np.empty((3,) + (n_side,) * 3),
             np.zeros((n_side, n_side, size)),
             np.empty((size, size, n_side), dtype=complex),
         )
@@ -453,14 +457,17 @@ def row_norm(p: NDArray) -> NDArray:
 
 
 def cube_points(xs: NDArray, out: Optional[NDArray] = None) -> NDArray:
-    """The n³ points (xs[i], xs[j], xs[k]) as rows i·n² + j·n + k, written
-    into out of shape (n, n, n, 3) when given."""
+    """The n³ points (xs[i], xs[j], xs[k]) as rows i·n² + j·n + k of a
+    read-only (N, 3) view with contiguous columns, written into out of shape
+    (3, n, n, n) when given: per-coordinate work then reads unit strides."""
     if out is None:
-        out = np.empty((xs.size,) * 3 + (3,))
-    out[..., 0] = xs[:, None, None]
-    out[..., 1] = xs[:, None]
-    out[..., 2] = xs
-    return out.reshape(-1, 3)
+        out = np.empty((3,) + (xs.size,) * 3)
+    out[0] = xs[:, None, None]
+    out[1] = xs[:, None]
+    out[2] = xs
+    pts = out.reshape(3, -1).T
+    pts.flags.writeable = False
+    return pts
 
 
 def _cube_potential(masses: NDArray, h: float, spectrum: NDArray) -> NDArray:
@@ -538,12 +545,13 @@ def kato_norm(f, n_side: int = 41) -> KatoNormResult:
     zero-padded FFT (Hockney & Eastwood 1988): the sup is taken over every
     cube cell, and each cell carries the average of 1/|x| over the ball of
     its own volume.  The points and the transform live in a workspace that
-    every n_side cube on the calling thread reuses, so fn must not keep the
-    points it is given.  A non-finite sample raises KatoClassError naming its
-    cell, before any sample is transformed.  When the mass in the outer
-    shells of the cube still grows outward the cube is judged too small for
-    the field (a heuristic, not a Kato-class test) and ExtentError is raised
-    with the shell masses.
+    every n_side cube on the calling thread reuses: fn gets a column-major,
+    read-only (N, 3) view that it must not keep (rounding: see Field3D).  A
+    non-finite sample raises KatoClassError naming its cell, before any
+    sample is transformed.  When the mass in the outer shells of the cube
+    still grows outward the cube is judged too small for the field (a
+    heuristic, not a Kato-class test) and ExtentError is raised with the
+    shell masses.
     """
     if isinstance(f, RadialField):
         return _kato_radial(f)

@@ -623,3 +623,24 @@ class TestLocalEnvelope:
         data = CauchyData(u0, outgoing_velocity(u0, "expanding"))
         with pytest.raises(ValueError):
             local_envelope(data, 1.0)
+
+    def test_callable_writing_its_points_raises(self):
+        # the cube points are read-only: a fn that doubles them after sampling
+        # would have the gradient and u1 sampled at doubled points, moving the
+        # envelope to (-1.736, 2.736) without a word
+        def gauss(p):
+            return np.exp(-np.sum(p * p, axis=1))
+
+        def doubling(p):
+            v = gauss(p)
+            p *= 2.0
+            return v
+
+        def grad(p):
+            return -2.0 * p * gauss(p)[:, None]
+
+        u1 = Field3D(fn=gauss, support_radius=4.0)
+        clean = CauchyData(Field3D(fn=gauss, grad=grad, support_radius=4.0), u1)
+        assert local_envelope(clean, 1.0) == pytest.approx((-1.858, 2.858), abs=1e-3)
+        with pytest.raises(ValueError, match="read-only"):
+            local_envelope(CauchyData(Field3D(fn=doubling, grad=grad, support_radius=4.0), u1), 1.0)

@@ -152,6 +152,27 @@ class TestDetectBlowup:
         report = detect_blowup(gaussian_well(1.5), unit, fit_rate=False)
         assert math.isnan(report.log_rate_fit[1])
 
+    @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("beta, pulse", [(1.5, 0.0), (2.0, 2.0), (1.2, -2.0)])
+    def test_scaling_property(self, unit, k, beta, pulse):
+        # u(λt, λr) solves the same equation: data u₀(λr), λ·u₁(λr) on the
+        # grid scaled by 1/λ touch at t0/λ.  λ = 2^k scales the nodes and
+        # the samples exactly, so the witness radius scales bit for bit; t0
+        # is each run's bisection to 1e-10 in its own time units.
+        def data(lam):
+            return pair(
+                lambda r: -beta * np.exp(-((lam * r) ** 2)),
+                lambda r: lam * pulse * np.exp(-(((lam * r - 2.0) / 0.7) ** 2)),
+                RadialGrid.uniform(8.0 / lam, 801),
+            )
+
+        lam = 2.0**k
+        base = detect_blowup(data(1.0), unit, fit_rate=False)
+        scaled = detect_blowup(data(lam), unit, fit_rate=False)
+        assert scaled.window * lam == base.window
+        assert scaled.side == base.side
+        assert abs(scaled.t0 - base.t0 / lam) <= 1e-10 * (1.0 + 1.0 / lam)
+
     @pytest.mark.parametrize("weight", [("const", 1.0), ("const", -1.0), ("linear", 1.0)])
     @pytest.mark.parametrize("orientation", ["expanding", "collapsing"])
     def test_witness_at_the_origin_touches_at_once(self, weight, orientation):

@@ -14,12 +14,14 @@ from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
 from wavecrit import (
+    CauchyData,
     ExtentError,
     Field3D,
     GridError,
     KatoClassError,
     RadialField,
     RadialGrid,
+    as_general,
     differentiate,
     field_from_csv,
     field_from_json,
@@ -30,6 +32,7 @@ from wavecrit import (
     kato_norm,
     line_integral,
 )
+from wavecrit.criteria import _case_terms
 from wavecrit.errors import WavecritError
 from wavecrit.radial import (
     _cube_kernel_spectrum,
@@ -539,8 +542,34 @@ class TestCubeWorkspace:
     def test_cube_points_is_the_meshgrid_stack(self):
         xs = np.linspace(-3.0, 3.0, 7)
         want = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
-        assert np.array_equal(cube_points(xs), want)
-        assert np.array_equal(cube_points(xs, np.full((7, 7, 7, 3), np.nan)), want)
+        for pts in (cube_points(xs), cube_points(xs, np.full((3, 7, 7, 7), np.nan))):
+            assert np.array_equal(pts, want)
+            assert pts.flags.f_contiguous and not pts.flags.writeable
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        r_max=st.floats(5.0, 7.0),
+        n=st.sampled_from([201, 241]),
+        amp=st.floats(0.2, 1.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        center=st.floats(0.0, 1.5),
+        width=st.floats(0.6, 1.2),
+        b=st.floats(-0.5, 0.5),
+        bw=st.floats(0.6, 1.2),
+    )
+    def test_lifted_kato_terms_equal_meshgrid_points(self, r_max, n, amp, sign, center, width, b, bw):
+        # the two cubes of nonradial_laplacian on lifted radial data: the
+        # column-major points give the bits of C-order meshgrid points
+        radial = CauchyData.from_callables(
+            RadialGrid.uniform(r_max, n),
+            lambda r: sign * amp * np.exp(-(((r - center) / width) ** 2)),
+            lambda r: b * np.exp(-((r / bw) ** 2)),
+        )
+        data = as_general(radial)
+        lead, (term,) = _case_terms(data, "iv")
+        for g, R in ((lead, data.u0.support_radius), (term, data.u1.support_radius)):
+            f = Field3D(fn=lambda p, g=g: np.abs(g(np.atleast_2d(p))), support_radius=R)
+            assert _outcome(lambda: kato_norm(f)) == _outcome(lambda: _reference_kato_cube(f, 41))
 
     def test_threads_get_the_serial_results(self):
         fields = [_gaussian((0.3 * k, -0.2 * k, 0.1), 5.0 + k) for k in range(4)]
