@@ -65,7 +65,6 @@ from .transforms import (
     NonlinearityProfile,
     build_profile,
     builtin_nonlinearity,
-    nonradial_laplacian_push,
     pull_back,
     push_forward,
 )

@@ -12,6 +12,7 @@ stderr).
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -180,7 +181,11 @@ def build_field(grid: RadialGrid, spec: dict, slot: str) -> RadialField:
         scale = float(spec.get("scale", 1.0))
         return RadialField.from_moment(grid, scale * soliton("ground", 4).outgoing_moment(r))
     if family == "tabulated":
+        if "path" not in spec:
+            raise ConfigError(f"tabulated {slot} needs a path")
         table = np.loadtxt(str(spec["path"]), delimiter=",", ndmin=2)
+        if table.shape[1] < 2:
+            raise ConfigError(f"tabulated {slot} needs two columns, r and the value")
         return RadialField(grid, np.interp(r, table[:, 0], table[:, 1]))
     raise ConfigError(f"unknown data family {family!r}")
 
@@ -234,17 +239,10 @@ def _profile(scenario: dict):
 def _act_classify(scenario: dict, series: dict) -> dict:
     profile = _profile(scenario)
     verdict = quadratic_global_condition(build_data(scenario), profile)
-    cls = profile.classification
     return {
         "verdict": verdict.to_dict(),
         "holds": bool(verdict.holds),
-        "endpoints": {
-            "minus_infinity": cls.minus_infinity,
-            "plus_infinity": cls.plus_infinity,
-            "a": _jsonable(cls.a),
-            "b": _jsonable(cls.b),
-            "confidence": cls.confidence,
-        },
+        "endpoints": _jsonable(dataclasses.asdict(profile.classification)),
     }
 
 

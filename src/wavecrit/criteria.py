@@ -472,11 +472,12 @@ def local_existence_time(
         info["flag"] = "zero slope and velocity"
         return (float("inf"), info) if full_output else float("inf")
     fp_sup = float(np.max(profile.F_prime(np.linspace(u_lo, u_hi, 257))))
+    # F(u_lo) - a and b - F(u_hi) as gap·F', which keeps them when F rounds to the endpoint
     candidates = {}
     if np.isfinite(a):
-        candidates["lower"] = (float(profile.F(u_lo)) - a) / (speed * fp_sup)
+        candidates["lower"] = profile.lower_gap(u_lo) * profile.F_prime(u_lo) / (speed * fp_sup)
     if np.isfinite(b):
-        candidates["upper"] = (b - float(profile.F(u_hi))) / (speed * fp_sup)
+        candidates["upper"] = profile.upper_gap(u_hi) * profile.F_prime(u_hi) / (speed * fp_sup)
     side = min(candidates, key=candidates.get)
     info["side"] = side
     info["speed"] = speed

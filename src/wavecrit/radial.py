@@ -311,25 +311,6 @@ def _power_tail(r: NDArray, g: NDArray) -> tuple[float, Optional[float]]:
     return float(sign * g_end * r[-1] / (p - 1.0)), float(p)
 
 
-def _integrate_line(
-    r: NDArray, g: NDArray, tail: str
-) -> tuple[float, TailInfo]:
-    """∫ g dr by composite Simpson plus tail handling over the last decade."""
-    total = float(simpson(g, x=r))
-    start = int(np.searchsorted(r, r[-1] / 10.0))
-    start = min(max(start, 0), r.size - 4)
-    tail_part = float(simpson(g[start:], x=r[start:]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fraction = abs(tail_part) / abs(total) if total != 0.0 else np.inf
-    correction, exponent = 0.0, None
-    if tail == "power":
-        correction, exponent = _power_tail(r[start:], g[start:])
-    elif tail != "flag":
-        raise ValueError(f"unknown tail mode {tail!r}")
-    resolved = bool(fraction <= TAIL_TOLERANCE or correction != 0.0)
-    return total + correction, TailInfo(float(fraction), resolved, correction, exponent)
-
-
 def integrate_radial(f: RadialField, tail: str = "flag", full_output: bool = False):
     """4π ∫₀^{r_max} f(r) r² dr.
 
@@ -350,9 +331,21 @@ def line_integral(grid: RadialGrid, integrand: NDArray, tail: str = "flag",
     Needed for products like f₁ f₂ r² where the factors separately carry a
     1/r pole and cannot be represented as RadialFields.
     """
-    value, info = _integrate_line(grid.nodes, np.asarray(integrand, dtype=float), tail)
-    value *= 4.0 * np.pi
-    info = replace(info, correction=4.0 * np.pi * info.correction)
+    r, g = grid.nodes, np.asarray(integrand, dtype=float)
+    total = float(simpson(g, x=r))
+    start = int(np.searchsorted(r, r[-1] / 10.0))
+    start = min(max(start, 0), r.size - 4)
+    tail_part = float(simpson(g[start:], x=r[start:]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fraction = abs(tail_part) / abs(total) if total != 0.0 else np.inf
+    correction, exponent = 0.0, None
+    if tail == "power":
+        correction, exponent = _power_tail(r[start:], g[start:])
+    elif tail != "flag":
+        raise ValueError(f"unknown tail mode {tail!r}")
+    resolved = bool(fraction <= TAIL_TOLERANCE or correction != 0.0)
+    value = (total + correction) * (4.0 * np.pi)
+    info = TailInfo(float(fraction), resolved, 4.0 * np.pi * correction, exponent)
     return (value, info) if full_output else value
 
 

@@ -11,25 +11,27 @@ gives (-√(π/2), +√(π/2)), f(u) = -u or sin or -arctan give (-∞, +∞)).
 Substituting v = F(u) linearizes the quadratic null-form equation, so data
 move between pictures by v₀ = F(u₀), v₁ = F'(u₀) u₁ and back by F⁻¹.
 
-The builtin weights const (f ≡ c) and linear (f(u) = ku, k > 0) have closed
-forms: F = -expm1(-cu)/c (F = u for c = 0) and F = √(π/2k)·erf(u√(k/2)), with
-exact endpoints, inverses and endpoint gaps (b - F)/F' and (F - a)/F'.  Every
-other f is numeric: the inner integral is cached on a dense grid with 8-node
-Gauss-Legendre panels, endpoints are classified by integrating to a cutoff
-and fitting the integrand tail (exponential first, then power law), and F⁻¹
-runs vectorized Newton on the tabulated spline.  A profile is immutable
-after construction and safe to share.
+Every weight gets the same NonlinearityProfile, which reads one form
+record: g, F, F⁻¹, the endpoints a and b, and the endpoint gaps
+(b - F)/F' and (F - a)/F' where an exact one exists.  The builtin weights
+const (f ≡ c) and linear (f(u) = ku, k > 0) fill it with closed forms:
+F = -expm1(-cu)/c (F = u for c = 0) and F = √(π/2k)·erf(u√(k/2)), with exact
+endpoints, inverses and gaps.  Every other f fills it with a table: the
+inner integral is cached on a dense grid with 8-node Gauss-Legendre panels,
+endpoints are classified by integrating to a cutoff and fitting the
+integrand tail (exponential first, then power law), F⁻¹ runs vectorized
+Newton on the tabulated spline, and each gap is the subtraction.  A profile
+is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 from scipy.special import erf, erfcx, erfinv
 
@@ -43,13 +45,15 @@ __all__ = [
     "build_profile",
     "push_forward",
     "pull_back",
-    "nonradial_laplacian_push",
     "builtin_nonlinearity",
     "BUILTIN_NONLINEARITIES",
 ]
 
 # exp(-g) overflows past g < -700; crop the tabulated range there
 _LOG_CAP = 700.0
+# the working range: t in [-_T_CUT, _T_CUT], _SAMPLES_PER_UNIT nodes per unit
+_T_CUT = 50.0
+_SAMPLES_PER_UNIT = 64
 _DECAY_TINY = 1e-12
 
 
@@ -57,8 +61,8 @@ _DECAY_TINY = 1e-12
 class EndpointClassification:
     """Finite/infinite decision for each end of ran F, with numeric values.
 
-    confidence is "resolved" when the caller supplied the endpoint or the
-    profile is a closed form; the classification of a table is always
+    confidence is "resolved" exactly when the profile is a closed form, whose
+    endpoints are exact; the classification of a table is always
     "heuristic" because finiteness of an improper integral is not decidable
     from samples.
     """
@@ -93,19 +97,18 @@ class NonlinearityProfile:
     Attributes: f, a, b, classification, name, working_range (the
     t-interval of the profile; evaluation outside it raises).  F, F_prime,
     F_second, F_inverse, upper_gap and lower_gap are vectorized callables;
-    F' = exp(-g) with g(t) = ∫₀^t f.  build_profile returns the closed form
-    for the builtin weights const and linear (k > 0) and a table for every
-    other f; each subclass gives _F (F on checked arrays) and _invert (F⁻¹
-    of values inside (a, b)), and may replace the gaps' subtraction.
+    F' = exp(-g) with g(t) = ∫₀^t f.  Every profile reads one form record
+    that build_profile fills: the closed form for the builtin weights const
+    and linear (k > 0), a table for every other f.
     """
 
-    def __init__(self, f, g, classification: EndpointClassification, working_range, name):
+    def __init__(self, f, form: _Form, classification: EndpointClassification, working_range, name):
         self.f = f
         self.name = name
         self.classification = classification
         self.a = classification.a
         self.b = classification.b
-        self._g = g
+        self._form = form
         self.working_range = (float(working_range[0]), float(working_range[1]))
 
     def _check_range(self, x: NDArray) -> NDArray:
@@ -118,10 +121,10 @@ class NonlinearityProfile:
         return x
 
     def _F_prime(self, x: NDArray) -> NDArray:
-        return np.exp(-self._g(x))
+        return np.exp(-self._form.g(x))
 
     def F(self, x):
-        return _like(x, self._F(self._check_range(x)))
+        return _like(x, self._form.F(self._check_range(x)))
 
     def F_prime(self, x):
         return _like(x, self._F_prime(self._check_range(x)))
@@ -141,22 +144,18 @@ class NonlinearityProfile:
                 witness_index=k,
                 witness_value=float(y[k]),
             )
-        x = self._invert(y, rtol)
+        x = self._form.inverse(y, rtol)
         return float(x[0]) if scalar else x
 
     def upper_gap(self, x):
         """(b - F(x))/F'(x), the room left below b in units of the slope."""
-        return _like(x, self._upper_gap(self._check_range(x)))
+        x, gap = self._check_range(x), self._form.upper_gap
+        return _like(x, (self.b - self._form.F(x)) / self._F_prime(x) if gap is None else gap(x))
 
     def lower_gap(self, x):
         """(F(x) - a)/F'(x), the room left above a in units of the slope."""
-        return _like(x, self._lower_gap(self._check_range(x)))
-
-    def _upper_gap(self, x: NDArray) -> NDArray:
-        return (self.b - self._F(x)) / self._F_prime(x)
-
-    def _lower_gap(self, x: NDArray) -> NDArray:
-        return (self._F(x) - self.a) / self._F_prime(x)
+        x, gap = self._check_range(x), self._form.lower_gap
+        return _like(x, (self._form.F(x) - self.a) / self._F_prime(x) if gap is None else gap(x))
 
 
 def _like(x, out):
@@ -164,76 +163,43 @@ def _like(x, out):
     return float(out) if np.ndim(x) == 0 else out
 
 
-class _TabulatedProfile(NonlinearityProfile):
-    """F as a cubic spline of its table on the abscissae ts, g as the spline
-    of the inner integral; F⁻¹ by vectorized Newton on the spline."""
-
-    def __init__(self, f, ts: NDArray, g: PPoly, f_table: NDArray, classification, name):
-        super().__init__(f, g, classification, (ts[0], ts[-1]), name)
-        self._ts = ts
-        self._F = cubic_spline(ts, f_table)
-        self._Fp = self._F.derivative()
-        self._F_table = f_table
-        # strictly increasing up to saturation: increments near a finite
-        # endpoint fall below double resolution and may tie, never decrease
-        if np.any(np.diff(f_table) < 0):
-            raise ValueError("quadrature failure: tabulated F is not monotone")
-
-    def _invert(self, y: NDArray, rtol: float) -> NDArray:
-        lo, hi = self.working_range
-        yc = np.clip(y, self._F_table[0], self._F_table[-1])
-        x = np.interp(yc, self._F_table, self._ts)
-        # an element stops once it meets rtol, so its digits do not depend
-        # on the other elements of the call
-        moving = np.ones(y.shape, dtype=bool)
-        for _ in range(6):
-            res = self._F(x) - y
-            moving &= np.abs(res) > rtol * (1.0 + np.abs(y))
-            if not np.any(moving):
-                break
-            x = np.where(moving, np.clip(x - res / np.maximum(self._Fp(x), 1e-300), lo, hi), x)
-        res = np.abs(self._F(x) - y)
-        stubborn = res > rtol * (1.0 + np.abs(y))
-        for k in np.nonzero(stubborn)[0]:
-            x[k] = brentq(lambda s: self._F(s) - y[k], lo, hi, xtol=1e-14)
-        return x
-
-
 @dataclass(frozen=True)
-class _ClosedForm:
-    """g, F, F⁻¹, the endpoints and the gap on each finite side of one
-    weight, as exact formulas; an infinite side has no gap (None)."""
+class _Form:
+    """How a profile computes: g, F, F⁻¹ (of values inside (a, b), with a
+    relative tolerance), the endpoints, and an exact gap on each side where
+    one exists; a side without one (None) takes the subtraction."""
 
     g: Callable[[NDArray], NDArray]
     F: Callable[[NDArray], NDArray]
-    inverse: Callable[[NDArray], NDArray]
+    inverse: Callable[[NDArray, float], NDArray]
     a: float
     b: float
     upper_gap: Optional[Callable[[NDArray], NDArray]] = None
     lower_gap: Optional[Callable[[NDArray], NDArray]] = None
 
 
-def _closed_form(f) -> Optional[_ClosedForm]:
-    """The exact profile of the builtin const(c) and linear(k > 0) weights,
+def _closed_form(f) -> Optional[_Form]:
+    """The exact form of the builtin const(c) and linear(k > 0) weights,
     read from the (name, param) that builtin_nonlinearity records on f;
-    None for every other f."""
+    None for every other f.  The inverse is exact, so it ignores rtol;
+    build_profile holds it to the working range."""
     name, p = getattr(f, "builtin", (None, None))
     if name == "const" and p == 0.0:
-        return _ClosedForm(np.zeros_like, lambda t: 1.0 * t, lambda y: 1.0 * y, -np.inf, np.inf)
+        return _Form(np.zeros_like, lambda t: 1.0 * t, lambda y, rtol: 1.0 * y, -np.inf, np.inf)
     if name == "const":
         gap = lambda t: np.full_like(t, 1.0 / abs(p))
-        return _ClosedForm(
+        return _Form(
             lambda t: p * t,
             lambda t: -np.expm1(-p * t) / p,
-            lambda y: -np.log1p(-p * y) / p,
+            lambda y, rtol: -np.log1p(-p * y) / p,
             *((-np.inf, 1.0 / p, gap, None) if p > 0.0 else (1.0 / p, np.inf, None, gap)),
         )
     if name == "linear" and p > 0.0:
         s, half = math.sqrt(0.5 * p), math.sqrt(0.5 * math.pi / p)
-        return _ClosedForm(
+        return _Form(
             lambda t: 0.5 * p * t * t,
             lambda t: half * erf(s * t),
-            lambda y: erfinv(y / half) / s,
+            lambda y, rtol: erfinv(y / half) / s,
             -half,
             half,
             upper_gap=lambda t: half * erfcx(s * t),
@@ -242,24 +208,63 @@ def _closed_form(f) -> Optional[_ClosedForm]:
     return None
 
 
-class _ClosedFormProfile(NonlinearityProfile):
-    """A profile whose F, F⁻¹ and gaps are exact formulas; a gap keeps the
-    subtraction when an endpoints override moved its endpoint."""
+def _held(form: _Form, working_range: Tuple[float, float], name: str) -> _Form:
+    """form with its exact inverse held to the working range: a value beyond
+    F of the range raises, and rounding cannot leave the range."""
+    reach = form.F(np.array(working_range))
 
-    def __init__(self, f, form: _ClosedForm, classification, working_range, name):
-        super().__init__(f, form.g, classification, working_range, name)
-        self._F = form.F
-        self._inverse = form.inverse
-        self._reach = form.F(np.array(self.working_range))  # F at the ends of the range
-        if form.upper_gap is not None and self.b == form.b:
-            self._upper_gap = form.upper_gap
-        if form.lower_gap is not None and self.a == form.a:
-            self._lower_gap = form.lower_gap
+    def inverse(y: NDArray, rtol: float) -> NDArray:
+        if np.any(y < reach[0]) or np.any(y > reach[1]):
+            raise ValueError(f"value beyond F of the working range of profile {name!r}")
+        return np.clip(form.inverse(y, rtol), *working_range)
 
-    def _invert(self, y: NDArray, rtol: float) -> NDArray:
-        if np.any(y < self._reach[0]) or np.any(y > self._reach[1]):
-            raise ValueError(f"value beyond F of the working range of profile {self.name!r}")
-        return np.clip(self._inverse(y), *self.working_range)
+    return replace(form, inverse=inverse)
+
+
+def _table(fa, ts_left, g_left, cut_left, ts_right, g_right, cut_right) -> _Form:
+    """The numeric form of f on the cropped sides of the working range: g
+    and F as cubic splines of their tables, endpoints classified from the
+    integrand tail, F⁻¹ by vectorized Newton on the spline."""
+    ts = np.concatenate([ts_left[::-1][:-1], ts_right])
+    g_spline = cubic_spline(ts, np.concatenate([g_left[::-1][:-1], g_right]))
+    f_right = panel_cumulative(lambda s: np.exp(-g_spline(s)), ts_right)
+    f_left = panel_cumulative(lambda s: np.exp(-g_spline(s)), ts_left)
+    table = np.concatenate([f_left[::-1][:-1], f_right])
+
+    rem_b = _classify_side(
+        ts_right, np.exp(-g_right), float(fa(ts_right[-1:])[0]), cropped=cut_right
+    )
+    rem_a = _classify_side(
+        -ts_left, np.exp(-g_left), -float(fa(ts_left[-1:])[0]), cropped=cut_left
+    )
+    b = np.inf if rem_b is None else float(f_right[-1] + rem_b)
+    a = -np.inf if rem_a is None else float(f_left[-1] - rem_a)
+
+    F = cubic_spline(ts, table)
+    Fp = F.derivative()
+    # strictly increasing up to saturation: increments near a finite
+    # endpoint fall below double resolution and may tie, never decrease
+    if np.any(np.diff(table) < 0):
+        raise ValueError("quadrature failure: tabulated F is not monotone")
+    lo, hi = ts[0], ts[-1]
+
+    def inverse(y: NDArray, rtol: float) -> NDArray:
+        x = np.interp(np.clip(y, table[0], table[-1]), table, ts)
+        # an element stops once it meets rtol, so its digits do not depend
+        # on the other elements of the call
+        moving = np.ones(y.shape, dtype=bool)
+        for _ in range(6):
+            res = F(x) - y
+            moving &= np.abs(res) > rtol * (1.0 + np.abs(y))
+            if not np.any(moving):
+                break
+            x = np.where(moving, np.clip(x - res / np.maximum(Fp(x), 1e-300), lo, hi), x)
+        stubborn = np.abs(F(x) - y) > rtol * (1.0 + np.abs(y))
+        for k in np.nonzero(stubborn)[0]:
+            x[k] = brentq(lambda s: F(s) - y[k], lo, hi, xtol=1e-14)
+        return x
+
+    return _Form(g_spline, F, inverse, a, b)
 
 
 def _classify_side(ts: NDArray, w: NDArray, slope_end: float, cropped: bool):
@@ -296,31 +301,22 @@ def _crop(g: NDArray) -> Tuple[int, bool]:
     return g.size, False
 
 
-def build_profile(
-    f: Callable[[NDArray], NDArray],
-    t_cut: float = 50.0,
-    samples_per_unit: int = 64,
-    endpoints: Optional[Tuple[Optional[float], Optional[float]]] = None,
-    name: str = "custom",
-) -> NonlinearityProfile:
+def build_profile(f: Callable[[NDArray], NDArray], name: str = "custom") -> NonlinearityProfile:
     """The profile of f and its endpoint interval (a, b).
 
-    The working range is a dense grid on [-t_cut, t_cut], each side stopping
-    early where exp(-g) would overflow or underflow.  The builtin weights
-    const (every c) and linear (k > 0) get their closed forms, with exact
-    endpoints marked "resolved".  For every other f the inner integral
-    g(t) = ∫₀^t f is accumulated on that grid with 8-node panels, F is
-    tabulated from it, and the endpoints get a heuristic classification
-    from the integrand tail at |t| = t_cut.  Passing endpoints=(a, b)
-    (either entry may be None) overrides the matching side and marks the
-    classification "resolved".
+    The working range is a dense grid on [-50, 50], 64 samples per unit,
+    each side stopping early where exp(-g) would overflow or underflow.  The
+    builtin weights const (every c) and linear (k > 0) get their closed
+    forms, with exact endpoints marked "resolved".  For every other f the
+    inner integral g(t) = ∫₀^t f is accumulated on that grid with 8-node
+    panels, F is tabulated from it, and the endpoints get a heuristic
+    classification from the integrand tail at the ends of the range.
     """
     fa = _as_array_fn(f)
-    form = _closed_form(f)
-    n_right = max(8, int(round(t_cut * samples_per_unit)))
-    ts_right = np.linspace(0.0, t_cut, n_right + 1)
+    exact = _closed_form(f)
+    ts_right = np.linspace(0.0, _T_CUT, int(_T_CUT * _SAMPLES_PER_UNIT) + 1)
     ts_left = -ts_right
-    inner = (lambda ts: panel_cumulative(fa, ts)) if form is None else form.g
+    inner = (lambda ts: panel_cumulative(fa, ts)) if exact is None else exact.g
     try:
         g_right = inner(ts_right)
         g_left = inner(ts_left)
@@ -335,43 +331,20 @@ def build_profile(
         raise ValueError("integrand overflows too close to 0; rescale the nonlinearity")
     ts_right, g_right = ts_right[:end_r], g_right[:end_r]
     ts_left, g_left = ts_left[:end_l], g_left[:end_l]
+    working_range = (float(ts_left[-1]), float(ts_right[-1]))
 
-    if form is None:
-        ts = np.concatenate([ts_left[::-1][:-1], ts_right])
-        g_values = np.concatenate([g_left[::-1][:-1], g_right])
-        g_spline = cubic_spline(ts, g_values)
-        f_table = panel_cumulative(lambda s: np.exp(-g_spline(s)), ts_right)
-        f_table_left = panel_cumulative(lambda s: np.exp(-g_spline(s)), ts_left)
-        full_table = np.concatenate([f_table_left[::-1][:-1], f_table])
-
-        rem_b = _classify_side(
-            ts_right, np.exp(-g_right), float(fa(ts_right[-1:])[0]), cropped=overflow_r
-        )
-        rem_a = _classify_side(
-            -ts_left, np.exp(-g_left), -float(fa(ts_left[-1:])[0]), cropped=overflow_l
-        )
-        b = np.inf if rem_b is None else float(f_table[-1] + rem_b)
-        a = -np.inf if rem_a is None else float(f_table_left[-1] - rem_a)
-        confidence = "heuristic"
+    if exact is None:
+        form = _table(fa, ts_left, g_left, overflow_l, ts_right, g_right, overflow_r)
     else:
-        a, b, confidence = form.a, form.b, "resolved"
-    if endpoints is not None:
-        user_a, user_b = endpoints
-        if user_a is not None:
-            a = float(user_a)
-        if user_b is not None:
-            b = float(user_b)
-        confidence = "resolved"
+        form = _held(exact, working_range, name)
     classification = EndpointClassification(
-        minus_infinity="finite" if np.isfinite(a) else "infinite",
-        plus_infinity="finite" if np.isfinite(b) else "infinite",
-        a=a,
-        b=b,
-        confidence=confidence,
+        minus_infinity="finite" if np.isfinite(form.a) else "infinite",
+        plus_infinity="finite" if np.isfinite(form.b) else "infinite",
+        a=form.a,
+        b=form.b,
+        confidence="heuristic" if exact is None else "resolved",
     )
-    if form is None:
-        return _TabulatedProfile(f, ts, g_spline, full_table, classification, name)
-    return _ClosedFormProfile(f, form, classification, (ts_left[-1], ts_right[-1]), name)
+    return NonlinearityProfile(f, form, classification, working_range, name)
 
 
 def _as_array_fn(f: Callable) -> Callable[[NDArray], NDArray]:
@@ -405,17 +378,21 @@ def builtin_nonlinearity(name: str, param: Optional[float] = None):
 
 
 def _oriented(profile: NonlinearityProfile, orientation: str):
-    """(map, velocity sign) for the chosen picture of v.
+    """(map, inverse, velocity sign) for the chosen picture of v.
 
     canonical: v = F(u).  exp: v = b - F(u), the decreasing picture
     (equal to e^{-u} when f ≡ 1); requires finite b.
     """
     if orientation == "canonical":
-        return (lambda x: profile.F(x)), 1.0
+        return profile.F, profile.F_inverse, 1.0
     if orientation == "exp":
         if not np.isfinite(profile.b):
             raise ValueError("exp orientation needs a finite upper endpoint")
-        return (lambda x: profile.b - profile.F(x)), -1.0
+        return (
+            lambda x: profile.b - profile.F(x),
+            lambda v: profile.F_inverse(profile.b - np.asarray(v)),
+            -1.0,
+        )
     raise ValueError(f"unknown orientation {orientation!r}")
 
 
@@ -423,7 +400,7 @@ def push_forward(
     data: CauchyData, profile: NonlinearityProfile, orientation: str = "canonical"
 ) -> CauchyData:
     """Transport data to the transformed picture: v₀ = F(u₀), v₁ = F'(u₀)u₁."""
-    vmap, sign = _oriented(profile, orientation)
+    vmap, _, sign = _oriented(profile, orientation)
     if data.symmetry == "radial":
         u0, u1 = data.u0, data.u1
         v0 = RadialField(u0.grid, vmap(u0.values), parity="even")
@@ -478,12 +455,7 @@ def pull_back(
     Values at or beyond an endpoint raise InvertibilityError with the
     witness node.  CauchyData also recovers u₁ = v₁ / F'(u₀).
     """
-    _, sign = _oriented(profile, orientation)
-
-    def invert(values):
-        y = values if orientation == "canonical" else profile.b - np.asarray(values)
-        return profile.F_inverse(y)
-
+    _, invert, sign = _oriented(profile, orientation)
     if isinstance(v, CauchyData):
         if v.symmetry != "radial":
             raise ValueError("pull_back of general data is not supported; pull fields")
@@ -501,18 +473,3 @@ def pull_back(
         return RadialField(v.grid, invert(v.values), parity=v.parity)
     return invert(np.asarray(v, dtype=float))
 
-
-def nonradial_laplacian_push(data: CauchyData, profile: NonlinearityProfile):
-    """(Δv₀, ∇v₁) of the pushed picture from general data.
-
-    Δv₀ = F'(u₀)Δu₀ + F''(u₀)|∇u₀|² as a Field3D; ∇v₁ = F'(u₀)∇u₁ +
-    F''(u₀)u₁∇u₀ as a callable of points returning vectors.
-    """
-    if data.symmetry != "general":
-        raise ValueError("laplacian push expects general (3D) data")
-    pushed = push_forward(data, profile)
-    lap_field = Field3D(
-        fn=lambda p: pushed.u0.laplace(p),
-        support_radius=data.u0.support_radius,
-    )
-    return lap_field, pushed.u1.gradient

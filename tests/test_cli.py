@@ -254,6 +254,20 @@ def test_exit_two_on_malformed_grid(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("broken", ["no path", "one column"])
+def test_exit_two_on_broken_tabulated_data(tmp_path, capsys, broken):
+    spec = {"family": "tabulated"}
+    if broken == "one column":
+        table = tmp_path / "one.csv"
+        table.write_text("0.0\n1.0\n2.0\n")
+        spec["path"] = str(table)
+    path = write_yaml(tmp_path, {
+        "schema": 1, "name": "badtable", "action": "solve", "data": {"u0": spec},
+    })
+    assert main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert "tabulated u0" in capsys.readouterr().err
+
+
 def test_exit_two_on_bad_yaml(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("not: [valid\n")

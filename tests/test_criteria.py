@@ -432,6 +432,14 @@ class TestLocalExistenceTime:
         assert info["side"] == "upper"
         assert T == pytest.approx(float(expected), rel=1e-9)
 
+    def test_gap_survives_where_F_rounds_to_the_endpoint(self, nirenberg):
+        # F(40) rounds to b = 1, but the gap b - F(40) = e^{-40} does not
+        data = radial_pair(lambda r: 40.0 * np.exp(-(r**2)), zeros, RadialGrid.uniform(8.0, 161))
+        T, info = local_existence_time(data, nirenberg, full_output=True)
+        assert info["side"] == "upper"
+        assert T == pytest.approx(math.exp(-40.0) / info["speed"], rel=1e-12, abs=0.0)
+        assert T == pytest.approx(1.24e-19, rel=1e-2, abs=0.0)
+
     def test_global_profile_flag(self):
         profile = build_profile(builtin_nonlinearity("neg_arctan"))
         T, info = local_existence_time(

@@ -10,9 +10,9 @@ from scipy.special import erfcx
 
 from wavecrit import CauchyData, InvertibilityError, RadialField, RadialGrid, as_general
 from wavecrit.transforms import (
+    NonlinearityProfile,
     build_profile,
     builtin_nonlinearity,
-    nonradial_laplacian_push,
     pull_back,
     push_forward,
 )
@@ -60,11 +60,6 @@ class TestEndpoints:
         # a custom f is tabulated, and a tabulated endpoint is a heuristic
         p = build_profile(lambda u: np.ones_like(u))
         assert p.classification.confidence == "heuristic"
-
-    def test_user_override_resolves(self):
-        p = build_profile(builtin_nonlinearity("const", 1.0), endpoints=(None, 1.0))
-        assert p.b == 1.0
-        assert p.classification.confidence == "resolved"
 
     def test_polynomial_tail(self):
         # f(u) = 2u/(1+u²): g = ln(1+t²), integrand (1+t²)^{-1} has finite limits
@@ -241,9 +236,39 @@ def test_gaps_of_the_closed_forms():
     u = np.linspace(-9.0, 9.0, 37)
     np.testing.assert_allclose(lin.upper_gap(u), ROOT_HALF_PI * erfcx(u / np.sqrt(2.0)), rtol=1e-13)
     np.testing.assert_allclose(lin.lower_gap(u), ROOT_HALF_PI * erfcx(-u / np.sqrt(2.0)), rtol=1e-13)
-    # an endpoints override that moves b falls back to the subtraction
-    moved = build_profile(builtin_nonlinearity("const", 1.0), endpoints=(None, 2.0))
-    assert moved.upper_gap(0.0) == 2.0
+
+
+def test_closed_forms_and_tables_are_one_class():
+    for f in (builtin_nonlinearity("linear", 1.0), builtin_nonlinearity("sin")):
+        assert type(build_profile(f)) is NonlinearityProfile
+
+
+TABLE_WEIGHTS = [
+    builtin_nonlinearity("sin"),
+    builtin_nonlinearity("neg_arctan"),
+    builtin_nonlinearity("linear", -1.0),
+    lambda u: 2 * u / (1 + u**2),  # a custom f with both endpoints finite
+]
+
+
+@lru_cache(maxsize=None)
+def table_profile(k):
+    return build_profile(TABLE_WEIGHTS[k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(0, len(TABLE_WEIGHTS) - 1),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+)
+def test_table_gaps_are_the_subtraction(k, fractions):
+    # a table has no exact gap: each side divides the subtraction by F'
+    # (an infinite side gives +inf both ways)
+    p = table_profile(k)
+    lo, hi = p.working_range
+    x = lo + (hi - lo) * np.array(fractions)
+    assert np.array_equal(p.upper_gap(x), (p.b - p.F(x)) / p.F_prime(x))
+    assert np.array_equal(p.lower_gap(x), (p.F(x) - p.a) / p.F_prime(x))
 
 
 def radial_data(n=401, r_max=8.0):
@@ -316,7 +341,8 @@ class TestLaplacianPush:
     def test_identity_profile_passthrough(self):
         p = build_profile(builtin_nonlinearity("const", 0.0))
         data = as_general(radial_data())
-        lap, grad = nonradial_laplacian_push(data, p)
+        v = push_forward(data, p)
+        lap, grad = v.u0.laplace, v.u1.gradient
         pts = np.array([[0.5, 0.2, -0.1], [1.0, 1.0, 0.5], [2.5, 0.0, 0.0]])
         np.testing.assert_allclose(lap(pts), data.u0.laplace(pts), rtol=1e-8)
         np.testing.assert_allclose(grad(pts), data.u1.gradient(pts), rtol=1e-8)
@@ -336,7 +362,8 @@ class TestLaplacianPush:
             laplacian=lambda p: np.zeros(np.atleast_2d(p).shape[0]),
             support_radius=4.0,
         )
-        lap, grad = nonradial_laplacian_push(CauchyData(const, zero), exp_profile)
+        v = push_forward(CauchyData(const, zero), exp_profile)
+        lap, grad = v.u0.laplace, v.u1.gradient
         pts = np.array([[0.1, 0.0, 0.0], [1.0, -1.0, 0.3]])
         np.testing.assert_allclose(lap(pts), 0.0, atol=1e-12)
         np.testing.assert_allclose(grad(pts), 0.0, atol=1e-12)
@@ -344,7 +371,8 @@ class TestLaplacianPush:
     def test_chain_rule_fields(self, linear_profile):
         # Δv₀ = F'(u₀)Δu₀ + F''(u₀)|∇u₀|², ∇v₁ = F'(u₀)∇u₁ + F''(u₀)u₁∇u₀
         data = as_general(radial_data())
-        lap, grad = nonradial_laplacian_push(data, linear_profile)
+        v = push_forward(data, linear_profile)
+        lap, grad = v.u0.laplace, v.u1.gradient
         pts = np.array([[1.2, 0.4, -0.3], [0.0, 2.0, 1.0], [3.0, 0.0, 0.2]])
         u0 = data.u0(pts)
         g0 = data.u0.gradient(pts)
