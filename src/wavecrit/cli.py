@@ -101,9 +101,7 @@ def normalize_scenario(doc: dict) -> dict:
     }
 
     horizon = float(doc.get("horizon", 1.0))
-    probe = _merge(
-        {"times": [horizon], "radii": []}, dict(doc.get("probe") or {}), "probe"
-    )
+    probe = _merge({"times": [horizon]}, dict(doc.get("probe") or {}), "probe")
     solver = _merge(_DEF_SOLVER, dict(doc.get("solver") or {}), "solver")
     expect = list(doc.get("expect") or [])
     for entry in expect:
@@ -183,7 +181,10 @@ def build_field(grid: RadialGrid, spec: dict, slot: str) -> RadialField:
     if family == "tabulated":
         if "path" not in spec:
             raise ConfigError(f"tabulated {slot} needs a path")
-        table = np.loadtxt(str(spec["path"]), delimiter=",", ndmin=2)
+        lines = Path(str(spec["path"])).read_text().splitlines()
+        if lines[:1] == ["r,value"]:  # the header field_to_csv writes
+            lines = lines[1:]
+        table = np.loadtxt(lines, delimiter=",", ndmin=2)
         if table.shape[1] < 2:
             raise ConfigError(f"tabulated {slot} needs two columns, r and the value")
         return RadialField(grid, np.interp(r, table[:, 0], table[:, 1]))
@@ -644,10 +645,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             state = "ok" if entry["passed"] else "FAILED"
             print(f"{entry['path']}: {state} (value {entry.get('value')})")
         return code
-    except WavecritError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (WavecritError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

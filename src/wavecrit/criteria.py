@@ -286,19 +286,21 @@ def radial_bounds(data: CauchyData, a: float, b: float) -> Verdict:
     return _verdict("radial_bounds", slack, _levels(data), False, bounds)
 
 
-def outgoing_check(data: CauchyData, tol: float = 1e-6) -> Verdict:
+def outgoing_check(data: CauchyData) -> Verdict:
     """Residual of the outgoing relation u₁ = (u₀)_r + u₀/r, evaluated in
     the multiplied form |(ru₀)′ − ru₁|.  The payload also reports the
-    mirror-signed residual and which orientation (if either) the pair fits:
-    the printed relation propagates inward in forward time ("collapsing"),
-    its sign mirror propagates outward ("expanding")."""
+    mirror-signed residual and which orientation (if either) the pair fits
+    within the tolerance 1e-6: the printed relation propagates inward in
+    forward time ("collapsing"), its sign mirror propagates outward
+    ("expanding")."""
     _require_radial(data, "outgoing_check")
-    return _outgoing_verdict(data, _case_terms(data, "ii"), tol)
+    return _outgoing_verdict(data, _case_terms(data, "ii"))
 
 
-def _outgoing_verdict(data: CauchyData, sides, tol: float = 1e-6) -> Verdict:
+def _outgoing_verdict(data: CauchyData, sides) -> Verdict:
     """outgoing_check of radial data given their case-ii sides (s0, [m1])."""
     s0, (m1,) = sides
+    tol = 1e-6
     pts = _points(data.grid, 1)
     res_col = np.abs(s0(pts) - m1(pts))
     res_exp = np.abs(s0(pts) + m1(pts))

@@ -112,10 +112,8 @@ def soliton(kind: str, N: float) -> Soliton:
     raise ConfigError(f"unknown soliton kind {kind!r}")
 
 
-def crossing_radii(N: int = 4) -> Tuple[float, float]:
-    """Radii where the singular profile crosses the ground profile."""
-    if N != 4:
-        raise ConfigError("crossing radii compare the quartic profiles", N=N)
+def crossing_radii() -> Tuple[float, float]:
+    """Radii where the quartic singular profile crosses the ground profile."""
     ground, singular = soliton("ground", 4), soliton("singular", 4)
 
     def gap(r: float) -> float:
@@ -262,9 +260,7 @@ def _infected_mask(mask: NDArray) -> NDArray:
     return least[i - j + n_t - 1] <= i + j
 
 
-def duhamel_apply(
-    data: CauchyData, source: NDArray, exponent: float, cap: float = np.inf
-) -> NDArray:
+def duhamel_apply(data: CauchyData, source: NDArray, exponent: float) -> NDArray:
     """One application of the lattice Duhamel map to a source lattice.
 
     The source columns are read at times j·spacing; the result has the same
@@ -283,7 +279,7 @@ def duhamel_apply(
     if source.shape[1] > nodes.size:
         raise ExtentError("more time columns than nodes", shape=source.shape)
     times = data.grid.spacing * np.arange(source.shape[1])
-    return _duhamel_lattice(_free_lattice(data, times), source, nodes, exponent, cap)
+    return _duhamel_lattice(_free_lattice(data, times), source, nodes, exponent, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +288,18 @@ def duhamel_apply(
 
 @dataclass
 class IterationState:
-    """Lattice iterate with its predecessor, divergence mask, and trace; case
-    is the sampled verdict of criteria's case table, not a certified one."""
+    """Lattice iterate with its divergence mask and trace; case is the
+    sampled verdict of criteria's case table, not a certified one."""
 
     n: int
     radii: NDArray
     times: NDArray
     u_n: NDArray
-    monotone_floor: NDArray
     divergence_mask: NDArray
     trusted: NDArray
     converged: bool
     case: str
     validity: str
-    cap: float
     trace: List[dict] = field(default_factory=list)
     history: Optional[List[NDArray]] = None
 
@@ -383,7 +377,6 @@ def monotone_iterate(
     u = free.copy()
     mask = _infected_mask(np.abs(u) > cap)
     u[mask] = np.inf
-    floor = u.copy()
     trace: List[dict] = []
     history = [u.copy()] if keep_history else None
 
@@ -400,7 +393,7 @@ def monotone_iterate(
         live = trusted & ~new_mask  # the new mask holds the old one
         change = np.subtract(new_u, u, out=np.zeros_like(u), where=live)
         sup_change = float(np.max(np.abs(change)))
-        floor, u, mask = u, new_u, new_mask
+        u, mask = new_u, new_mask
         fraction = float(np.sum(mask & trusted) / n_trusted)
         trace.append({"n": n, "sup_change": sup_change, "diverged_fraction": fraction})
         if history is not None:
@@ -414,13 +407,11 @@ def monotone_iterate(
         radii=nodes,
         times=times,
         u_n=u,
-        monotone_floor=floor,
         divergence_mask=mask,
         trusted=trusted,
         converged=converged,
         case=case,
         validity=validity,
-        cap=cap,
         trace=trace,
         history=history,
     )
@@ -447,18 +438,15 @@ def energy_focusing(u: RadialField, u_t: RadialField, full_output: bool = False)
     return (float(value), info) if full_output else float(value)
 
 
-def kenig_merle_quantities(N: int = 4, grid: Optional[RadialGrid] = None) -> dict:
-    """Comparison integrals around the ground state, with ε-expansion.
+def kenig_merle_quantities() -> dict:
+    """Comparison integrals around the quartic ground state, with ε-expansion.
 
     All integrands are closed-form in the ground profile; the variations of
     E[(1+ε)·ground] at ε = 0 are the exact derivatives of the energy
     polynomial K((1+ε)²/2 − (1+ε)⁶/6), with K the squared gradient norm:
     K(1 − 1) = 0 and K(1 − 5) = −4K.
     """
-    if N != 4:
-        raise ConfigError("comparison integrals are specific to the quartic case", N=N)
-    if grid is None:
-        grid = RadialGrid.graded(1.0e4, 6001, power=3.0)
+    grid = RadialGrid.graded(1.0e4, 6001, power=3.0)
     r = grid.nodes
     q = (1.0 + r * r / 3.0) ** -0.5
     qr = np.zeros_like(r)
@@ -513,7 +501,6 @@ def blowup_window_probe(
     direction: str,
     horizon: float = 10.0,
     grid: Optional[RadialGrid] = None,
-    cap: float = DEFAULT_CAP,
 ) -> dict:
     """Two-sided sharpness probe around the ground-state threshold.
 
@@ -540,12 +527,12 @@ def blowup_window_probe(
         "direction": direction,
         "epsilon": float(epsilon),
         "horizon": float(horizon),
-        "cap": float(cap),
+        "cap": DEFAULT_CAP,
     }
 
     if direction == "minus":
         data = _scaled_velocity_data(grid, 1.0 - epsilon)
-        state = monotone_iterate(data, 4, horizon, cap=cap, tol=1e-6, n_max=80)
+        state = monotone_iterate(data, 4, horizon, tol=1e-6, n_max=80)
         live = state.live
         sup_lattice = float(np.max(np.abs(state.u_n[live])))
         envelope = ground(state.radii)[:, None]
@@ -556,7 +543,7 @@ def blowup_window_probe(
             ("power", 4, 1),
             horizon,
             h=grid.spacing / 2.0,
-            threshold=cap,
+            threshold=DEFAULT_CAP,
             snapshot_times=np.linspace(0.0, horizon, 21),
         )
         fd_sups = np.array([float(np.max(np.abs(s))) for s in run.snapshots])
@@ -594,7 +581,7 @@ def blowup_window_probe(
         h=min(grid.spacing / 2.0, 0.025),
         threshold=1000.0,
     )
-    state = monotone_iterate(data, 4, horizon, cap=cap, tol=1e-6, n_max=25)
+    state = monotone_iterate(data, 4, horizon, tol=1e-6, n_max=25)
     first_diverged = next(
         (t["n"] for t in state.trace if t["diverged_fraction"] > 0), None
     )

@@ -29,7 +29,7 @@ opposite sign, which translates outward only in reversed time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -96,10 +96,8 @@ class CauchyData:
         return self.u0.grid
 
     @classmethod
-    def from_callables(cls, grid, f0, f1, u1_origin_moment: float = 0.0) -> "CauchyData":
-        u0 = RadialField.from_callable(grid, f0)
-        u1 = RadialField.from_callable(grid, f1, origin_moment=u1_origin_moment)
-        return cls(u0, u1)
+    def from_callables(cls, grid, f0, f1) -> "CauchyData":
+        return cls(RadialField.from_callable(grid, f0), RadialField.from_callable(grid, f1))
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,6 @@ class TruncationInfo:
 
     truncated: bool
     trusted_radius: float
-    max_argument: float
 
 
 def _half_lines(nodes: NDArray, values: NDArray):
@@ -316,11 +313,9 @@ class FreePropagator:
         return self._rho - abs(t)
 
     def truncation(self, t: float) -> TruncationInfo:
-        max_arg = self._rho + abs(t)
         return TruncationInfo(
             truncated=abs(t) > 1e-14 * max(1.0, self._rho),
             trusted_radius=self.trusted_radius(t),
-            max_argument=max_arg,
         )
 
     def field(self, t: float) -> RadialField:
@@ -347,14 +342,13 @@ class FreePropagator:
     def state(self, t: float) -> CauchyData:
         return CauchyData(self.field(t), self.field_t(t))
 
-    def energy(self, t: float = 0.0, samples: int = 0) -> float:
+    def energy(self, t: float = 0.0) -> float:
         """4π ∫ (u_t² + u_r²) r² dr at time t, from the profiles directly.
 
         Integrates w_t² + (w_r - w/r)² on a dense uniform grid, so the only
         drift across t is quadrature error, not differencing error.
         """
-        n = samples or max(4 * self.grid.n + 1, 2049)
-        r = np.linspace(0.0, self._rho, n)
+        r = np.linspace(0.0, self._rho, max(4 * self.grid.n + 1, 2049))
         wt = self.displacement_t(r, t)
         flux = np.empty_like(wt)
         w = self.displacement(r[1:], t)
@@ -448,17 +442,16 @@ def _mean_profile(fn, radii: NDArray) -> NDArray:
     return vals @ _SPHERE_WEIGHTS
 
 
-def evaluate_at_origin_nonradial(
-    data: CauchyData, t: float, form: str = "mean", panels_per_unit: float = 6.0
-) -> float:
+def evaluate_at_origin_nonradial(data: CauchyData, t: float, form: str = "mean") -> float:
     """u(0, t) of the free wave from general data, by spherical means.
 
     mean form: u(0,t) = mean u₀ + τ mean(n·∇u₀) + t mean u₁ over |y| = τ = |t|.
     laplacian form: u(0,t) = ∫_τ^∞ ρ mean(-Δu₀) dρ - t ∫_τ^∞ mean(n·∇u₁) dρ,
     which only needs decay of the data, not smoothness at radius τ.
     Angular quadrature is the 26-node octahedral sphere rule (degree 7);
-    radial integrals use composite 8-node panels out to the support radius,
-    erroring out if the integrand has not decayed there.
+    radial integrals use composite 8-node panels, six per unit length and at
+    least 24, out to the support radius, erroring out if the integrand has
+    not decayed there.
     """
     general = as_general(data) if data.symmetry == "radial" else data
     u0, u1 = general.u0, general.u1
@@ -477,7 +470,7 @@ def evaluate_at_origin_nonradial(
     outer = max(u0.support_radius, u1.support_radius)
     if tau >= outer:
         raise ExtentError(f"insufficient grid extent: |t| = {tau:g} beyond support {outer:g}")
-    n_panels = max(24, int(np.ceil((outer - tau) * panels_per_unit)))
+    n_panels = max(24, int(np.ceil((outer - tau) * 6.0)))
     edges = np.linspace(tau, outer, n_panels + 1)
     mid = (edges[1:] + edges[:-1]) / 2
     half = (edges[1:] - edges[:-1]) / 2

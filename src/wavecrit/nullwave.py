@@ -192,13 +192,10 @@ def _cone_mins(slack, origin, nodes, r0: float, ts):
     return _row_mins(slack, ts, *_cone_rows(nodes, r0, ts), origin(ts))
 
 
-def _first_touch(
-    slack, origin, nodes, r0: float, lip: float, noise: float, scan: int = 1024,
-    tol: float = 1e-10,
-):
+def _first_touch(slack, origin, nodes, r0: float, lip: float, noise: float):
     """Earliest t ≥ 0 with min over the shrinking cone ≤ 0: scan then bisect.
 
-    The scan times are those of a plain scan, ts = linspace(0, r0, scan + 1),
+    The scan times are those of a plain scan, ts = linspace(0, r0, 1025),
     and the first of them whose refined cone minimum is ≤ 0 brackets the
     bisection.  The scan runs in rounds: a round evaluates the next count
     times neither evaluated nor skipped in one _row_mins call and stops at
@@ -231,7 +228,7 @@ def _first_touch(
 
     The bisection halves the bracket [lo, hi] at mid = 0.5·(lo + hi),
     keeping [lo, mid] when mid touches (minimum ≤ 0) and [mid, hi]
-    otherwise, until hi - lo ≤ tol.  It runs in rounds on a midpoint tree: a
+    otherwise, until hi - lo ≤ 1e-10.  It runs in rounds on a midpoint tree: a
     round computes every midpoint that its next d halvings can visit,
     2^d - 1 times in heap order, evaluates them in one _cone_mins call and
     then walks the tree by the same rule.  So it visits the same midpoints,
@@ -240,7 +237,7 @@ def _first_touch(
     one per round, at most the halvings still needed and with 2^d - 1 rows
     of the bracket's widest row within _SCAN_POINTS.
     """
-    ts = np.linspace(0.0, r0, scan + 1)
+    ts = np.linspace(0.0, r0, 1025)
     layout = _row_layout(nodes, r0, ts)
     edge, k, _, coarse, lengths = layout
     r_min = np.where(coarse, edge / 32.0, nodes[1])  # smallest positive radius of each row
@@ -278,7 +275,7 @@ def _first_touch(
             window=float(r0),
         )
     lo = float(ts[max(i - 1, 0)])  # a touch at t = 0 leaves nothing to bisect
-    return _bisect_touch(slack, origin, nodes, r0, lo, float(ts[i]), hi_loc, tol)
+    return _bisect_touch(slack, origin, nodes, r0, lo, float(ts[i]), hi_loc, 1e-10)
 
 
 def _bisect_touch(
@@ -481,29 +478,23 @@ def _margin(sol: NullSolution, epsilon: Optional[float]) -> float:
     return float(eps)
 
 
-def _shell_data_norm(data: CauchyData) -> float:
-    r = data.grid.nodes
-    slope = np.max(np.abs(r * differentiate(data.u0).values))
-    return float(slope + np.max(np.abs(data.u1.moment())))
-
-
 def verify_pointwise_bounds(
     sol: NullSolution,
     probes: Iterable[float],
     epsilon: Optional[float] = None,
-    tol: float = 1e-8,
 ) -> Dict:
     """Check the two-sided sup/inf sandwich and both slope envelopes.
 
     At every probe time and every node the solution must satisfy
     inf u₀ - ln(1 + ‖r(u₀)_r‖ + ‖ru₁‖) ≤ u ≤ sup u₀ + ln(1/ε) together with
     u_r + |u_t| ≤ (1 - 1/c₀)/r and |u_r| + |u_t| ≤ (c₀ - 1)/r, where
-    c₀ = e^{sup u₀ - inf u₀} ε⁻¹ (1 + ‖r(u₀)_r‖ + ‖ru₁‖).  Violations beyond
-    tol are listed, not raised.
+    c₀ = e^{sup u₀ - inf u₀} ε⁻¹ (1 + ‖r(u₀)_r‖ + ‖ru₁‖), the shell norm
+    being the one quadratic_global_condition reports in sol.verdict.
+    Violations beyond 1e-8 are listed, not raised.
     """
     inf0, sup0 = _require_unit_profile(sol)
     eps = _margin(sol, epsilon)
-    shell = _shell_data_norm(sol.data)
+    shell = sol.verdict.bounds["shell_norm"]
     c0 = math.exp(sup0 - inf0) / eps * (1.0 + shell)
     lower = inf0 - math.log1p(shell)
     upper = sup0 + math.log(1.0 / eps)
@@ -512,6 +503,7 @@ def verify_pointwise_bounds(
     inv_r = 1.0 / r[1:]
     violations = []
     checked = 0
+    tol = 1e-8
     for t in probes:
         t = float(t)
         u, slope = sol._u_slope(t)
@@ -633,19 +625,15 @@ def _slice_amplitude(prop: FreePropagator, profile, t: float, R: float) -> float
     return float(np.max(np.abs(profile.F_inverse(prop.at(rs, t)))))
 
 
-def asymptotic_profile(
-    data: CauchyData,
-    profile: NonlinearityProfile,
-    fit_window: Tuple[float, float] = (5.0, 50.0),
-    samples: int = 32,
-) -> Dict:
+def asymptotic_profile(data: CauchyData, profile: NonlinearityProfile) -> Dict:
     """Dichotomy for rapidly decaying data: global with 1/t decay, or blow-up.
 
     The v-picture extrema over a compact spacetime region decide the branch
     (strong Huygens makes the region sufficient); the criterion margin is
     cross-checked and any disagreement downgrades the classification to
-    "indeterminate".  In the global branch t·‖u(t)‖_∞ is sampled over the fit
-    window and the leading scattering coefficient 1/F'(0) is reported.
+    "indeterminate".  In the global branch t·‖u(t)‖_∞ is sampled at 32 times
+    over 5 ≤ t ≤ 50 and the leading scattering coefficient 1/F'(0) is
+    reported.
     """
     vdata = push_forward(data, profile)
     pair = dalembert_split(vdata)
@@ -694,7 +682,7 @@ def asymptotic_profile(
     if classification == "blow-up":
         report["blowup"] = _locate_blowup(pair, prop, profile, fit_rate=True)
     if classification == "global":
-        ts = np.linspace(fit_window[0], fit_window[1], samples)
+        ts = np.linspace(5.0, 50.0, 32)
         etas = np.array([t * _slice_amplitude(prop, profile, float(t), R) for t in ts])
         top = float(np.max(etas))
         bottom = float(np.min(etas))

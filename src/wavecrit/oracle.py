@@ -338,26 +338,15 @@ def discrete_energy(run: FDRun) -> dict:
     }
 
 
-def _scenario_arrays(scenario: Mapping, radii: NDArray):
-    if "w0" in scenario:
-        w0 = np.asarray(scenario["w0"](radii), dtype=float)
-    else:
-        w0 = radii * np.asarray(scenario["u0"](radii), dtype=float)
-    if "w1" in scenario:
-        w1 = np.asarray(scenario["w1"](radii), dtype=float)
-    else:
-        w1 = radii * np.asarray(scenario["u1"](radii), dtype=float)
-    return w0, w1
-
-
 def convergence_order(scenario: Mapping, hs: Sequence[float]) -> float:
     """Observed order from successive errors over a decreasing h-sequence.
 
-    The scenario maps keys u0/u1 (or moment callables w0/w1), rhs, horizon,
-    r_max, and optionally probe_r, cfl, and a reference callable giving the
-    exact profile at the horizon.  Without a reference the three finest runs
-    are compared pairwise (Richardson style), which requires a constant
-    refinement ratio.
+    The scenario maps keys u0/u1, rhs, horizon, r_max, and optionally a
+    reference callable giving the exact profile at the horizon.  Every run
+    takes CFL number 0.8 and is compared at 33 radii spread over
+    [0, max(r_max - horizon, 8·h_min)].  Without a reference the three
+    finest runs are compared pairwise (Richardson style), which requires a
+    constant refinement ratio.
     """
     hs = [float(h) for h in hs]
     if len(hs) < 3:
@@ -367,28 +356,25 @@ def convergence_order(scenario: Mapping, hs: Sequence[float]) -> float:
             raise ConfigError("resolution sequence must strictly decrease", pair=(a, b))
     horizon = float(scenario["horizon"])
     r_top = float(scenario["r_max"])
-    cfl = float(scenario.get("cfl", 0.8))
-    probe_r = np.asarray(
-        scenario.get("probe_r", np.linspace(0.0, max(r_top - horizon, 8 * hs[-1]), 33))
-    )
+    points = np.linspace(0.0, max(r_top - horizon, 8 * hs[-1]), 33)
     reference = scenario.get("reference")
 
     profiles = []
     for h in hs:
         radii = _uniform_radii(r_top, h)
-        w0, w1 = _scenario_arrays(scenario, radii)
+        w0 = radii * np.asarray(scenario["u0"](radii), dtype=float)
+        w1 = radii * np.asarray(scenario["u1"](radii), dtype=float)
         run = _solve_arrays(
-            radii, w0, w1, scenario.get("rhs"), horizon, cfl,
-            scenario.get("threshold", DEFAULT_THRESHOLD), [0.0, horizon],
+            radii, w0, w1, scenario.get("rhs"), horizon, 0.8, DEFAULT_THRESHOLD, [0.0, horizon]
         )
         if run.status != "completed":
             raise ConvergenceError(
                 "run did not reach the horizon", h=h, status=run.status
             )
-        profiles.append(np.interp(probe_r, run.radii, run.final))
+        profiles.append(np.interp(points, run.radii, run.final))
 
     if reference is not None:
-        target = np.asarray(reference(probe_r), dtype=float)
+        target = np.asarray(reference(points), dtype=float)
         errors = [float(np.max(np.abs(p - target))) for p in profiles]
         scales = hs
     else:

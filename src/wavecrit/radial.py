@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 TAIL_TOLERANCE = 1e-6
+# central-difference step of a Field3D without grad or laplacian
+_FD_STEP = 1e-4
 
 
 def _validate_nodes(nodes: NDArray) -> None:
@@ -197,11 +199,8 @@ class RadialField:
         m[0] = self.origin_moment
         return m
 
-    def with_values(self, values: NDArray, parity: Optional[str] = None) -> "RadialField":
-        return replace(
-            self, values=np.asarray(values, dtype=float),
-            parity=self.parity if parity is None else parity, origin_moment=0.0,
-        )
+    def with_values(self, values: NDArray) -> "RadialField":
+        return replace(self, values=np.asarray(values, dtype=float), origin_moment=0.0)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -211,8 +210,8 @@ class RadialField:
 class Field3D:
     """Scalar field on ℝ³ given by callables on point arrays of shape (N, 3).
 
-    grad and laplacian may be omitted; central differences with step
-    fd_step fill in.  support_radius bounds the region where the field is
+    grad and laplacian may be omitted; central differences with step 1e-4
+    fill in.  support_radius bounds the region where the field is
     numerically nonnegligible and sizes the quadrature cubes.  The cubes
     pass column-major, read-only (N, 3) views of a reused buffer, which a
     callable must not keep; axis-1 sums and norms of them round as on
@@ -223,7 +222,6 @@ class Field3D:
     grad: Optional[Callable[[NDArray], NDArray]] = None
     laplacian: Optional[Callable[[NDArray], NDArray]] = None
     support_radius: float = 8.0
-    fd_step: float = 1e-4
 
     def __call__(self, points: NDArray) -> NDArray:
         return np.asarray(self.fn(np.atleast_2d(points)), dtype=float)
@@ -232,7 +230,7 @@ class Field3D:
         points = np.atleast_2d(points)
         if self.grad is not None:
             return np.asarray(self.grad(points), dtype=float)
-        h = self.fd_step
+        h = _FD_STEP
         out = np.empty_like(points)
         for k in range(3):
             e = np.zeros(3)
@@ -244,7 +242,7 @@ class Field3D:
         points = np.atleast_2d(points)
         if self.laplacian is not None:
             return np.asarray(self.laplacian(points), dtype=float)
-        h = self.fd_step
+        h = _FD_STEP
         center = self.fn(points)
         acc = np.zeros(points.shape[0])
         for k in range(3):
@@ -378,7 +376,8 @@ def _kato_radial(f: RadialField) -> KatoNormResult:
         slope = np.polyfit(np.log(r[1:7]), np.log(g_head), 1)[0]
         if slope <= -0.95 and g_head[0] > 10.0 * np.max(g_tail + 1e-300):
             raise KatoClassError("not in Kato class: |f| r diverges at the origin")
-    k0 = 4.0 * np.pi * float(simpson(a * r, x=r))
+    total = float(simpson(a * r, x=r))
+    k0 = 4.0 * np.pi * total
     # Newton shell sweep: k(y) = 4π [ (1/y)∫₀^y |f| s² ds + ∫_y^R |f| s ds ].
     c2 = cumulative_trapezoid(a * r**2, r, initial=0.0)
     c1 = cumulative_trapezoid(a * r, r, initial=0.0)
@@ -391,7 +390,6 @@ def _kato_radial(f: RadialField) -> KatoNormResult:
     # Resolvedness: estimated remainder of ∫ |f| s ds beyond r_max, by power
     # fit over the last decade, falling back to the 1/s² bound g(R)·R (0
     # without tail mass).
-    total = float(simpson(a * r, x=r))
     remainder = 0.0
     if total > 0:
         remainder = abs(corr) if corr != 0.0 else float(g_tail[-1] * r[-1])
@@ -624,20 +622,17 @@ def cubic_spline(x: NDArray, y: NDArray) -> PPoly:
     return PPoly.construct_fast(c, x)
 
 
-def inverse_laplacian_radial(g: Callable[[NDArray], NDArray], grid: RadialGrid,
-                             improper: bool = True) -> RadialField:
+def inverse_laplacian_radial(g: Callable[[NDArray], NDArray], grid: RadialGrid) -> RadialField:
     """Solve -Δu = g on ℝ³ for radial g ≥ 0 decaying at infinity.
 
     u(r) = (1/r) ∫₀^r s² g ds + ∫_r^∞ s g ds, with the second integral's
-    [r_max, ∞) part evaluated by adaptive quadrature when improper is set
-    (fields that decay slowly need it to pin the absolute level of u).
+    [r_max, ∞) part evaluated by adaptive quadrature (fields that decay
+    slowly need it to pin the absolute level of u).
     """
     r = grid.nodes
     inner = panel_cumulative(lambda s: s**2 * g(s), r)
     outer = panel_cumulative(lambda s: s * g(s), r)
-    tail = 0.0
-    if improper:
-        tail, _ = quad(lambda s: s * g(s), grid.r_max, np.inf, limit=200)
+    tail, _ = quad(lambda s: s * g(s), grid.r_max, np.inf, limit=200)
     values = np.empty_like(r)
     values[1:] = inner[1:] / r[1:] + (outer[-1] - outer[1:]) + tail
     values[0] = outer[-1] + tail
@@ -652,7 +647,7 @@ def field_to_csv(f: RadialField, path: str) -> None:
             writer.writerow([repr(float(r)), repr(float(v))])
 
 
-def field_from_csv(path: str, parity: str = "even") -> RadialField:
+def field_from_csv(path: str) -> RadialField:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -666,7 +661,7 @@ def field_from_csv(path: str, parity: str = "even") -> RadialField:
         raise GridError("csv field file is empty")
     r = np.array([p[0] for p in rows])
     v = np.array([p[1] for p in rows])
-    return RadialField(RadialGrid(r, grading="loaded"), v, parity=parity)
+    return RadialField(RadialGrid(r, grading="loaded"), v)
 
 
 def field_to_json(f: RadialField) -> str:

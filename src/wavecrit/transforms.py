@@ -55,6 +55,8 @@ _LOG_CAP = 700.0
 _T_CUT = 50.0
 _SAMPLES_PER_UNIT = 64
 _DECAY_TINY = 1e-12
+# relative residual at which the table's Newton inverse stops
+_INVERSE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ class NonlinearityProfile:
         x = self._check_range(x)
         return _like(x, -np.asarray(self.f(x)) * self._F_prime(x))
 
-    def F_inverse(self, y, rtol: float = 1e-12):
+    def F_inverse(self, y):
         scalar = np.ndim(y) == 0
         y = np.atleast_1d(np.asarray(y, dtype=float))
         bad = (y <= self.a) | (y >= self.b) | ~np.isfinite(y)
@@ -144,7 +146,7 @@ class NonlinearityProfile:
                 witness_index=k,
                 witness_value=float(y[k]),
             )
-        x = self._form.inverse(y, rtol)
+        x = self._form.inverse(y)
         return float(x[0]) if scalar else x
 
     def upper_gap(self, x):
@@ -165,13 +167,13 @@ def _like(x, out):
 
 @dataclass(frozen=True)
 class _Form:
-    """How a profile computes: g, F, F⁻¹ (of values inside (a, b), with a
-    relative tolerance), the endpoints, and an exact gap on each side where
-    one exists; a side without one (None) takes the subtraction."""
+    """How a profile computes: g, F, F⁻¹ (of values inside (a, b)), the
+    endpoints, and an exact gap on each side where one exists; a side
+    without one (None) takes the subtraction."""
 
     g: Callable[[NDArray], NDArray]
     F: Callable[[NDArray], NDArray]
-    inverse: Callable[[NDArray, float], NDArray]
+    inverse: Callable[[NDArray], NDArray]
     a: float
     b: float
     upper_gap: Optional[Callable[[NDArray], NDArray]] = None
@@ -181,17 +183,16 @@ class _Form:
 def _closed_form(f) -> Optional[_Form]:
     """The exact form of the builtin const(c) and linear(k > 0) weights,
     read from the (name, param) that builtin_nonlinearity records on f;
-    None for every other f.  The inverse is exact, so it ignores rtol;
-    build_profile holds it to the working range."""
+    None for every other f."""
     name, p = getattr(f, "builtin", (None, None))
     if name == "const" and p == 0.0:
-        return _Form(np.zeros_like, lambda t: 1.0 * t, lambda y, rtol: 1.0 * y, -np.inf, np.inf)
+        return _Form(np.zeros_like, lambda t: 1.0 * t, lambda y: 1.0 * y, -np.inf, np.inf)
     if name == "const":
         gap = lambda t: np.full_like(t, 1.0 / abs(p))
         return _Form(
             lambda t: p * t,
             lambda t: -np.expm1(-p * t) / p,
-            lambda y, rtol: -np.log1p(-p * y) / p,
+            lambda y: -np.log1p(-p * y) / p,
             *((-np.inf, 1.0 / p, gap, None) if p > 0.0 else (1.0 / p, np.inf, None, gap)),
         )
     if name == "linear" and p > 0.0:
@@ -199,7 +200,7 @@ def _closed_form(f) -> Optional[_Form]:
         return _Form(
             lambda t: 0.5 * p * t * t,
             lambda t: half * erf(s * t),
-            lambda y, rtol: erfinv(y / half) / s,
+            lambda y: erfinv(y / half) / s,
             -half,
             half,
             upper_gap=lambda t: half * erfcx(s * t),
@@ -209,14 +210,14 @@ def _closed_form(f) -> Optional[_Form]:
 
 
 def _held(form: _Form, working_range: Tuple[float, float], name: str) -> _Form:
-    """form with its exact inverse held to the working range: a value beyond
-    F of the range raises, and rounding cannot leave the range."""
+    """form with its inverse held to the working range: a value beyond F of
+    the range raises, and rounding cannot leave the range."""
     reach = form.F(np.array(working_range))
 
-    def inverse(y: NDArray, rtol: float) -> NDArray:
+    def inverse(y: NDArray) -> NDArray:
         if np.any(y < reach[0]) or np.any(y > reach[1]):
             raise ValueError(f"value beyond F of the working range of profile {name!r}")
-        return np.clip(form.inverse(y, rtol), *working_range)
+        return np.clip(form.inverse(y), *working_range)
 
     return replace(form, inverse=inverse)
 
@@ -248,18 +249,18 @@ def _table(fa, ts_left, g_left, cut_left, ts_right, g_right, cut_right) -> _Form
         raise ValueError("quadrature failure: tabulated F is not monotone")
     lo, hi = ts[0], ts[-1]
 
-    def inverse(y: NDArray, rtol: float) -> NDArray:
-        x = np.interp(np.clip(y, table[0], table[-1]), table, ts)
-        # an element stops once it meets rtol, so its digits do not depend
-        # on the other elements of the call
+    def inverse(y: NDArray) -> NDArray:
+        x = np.interp(y, table, ts)
+        # an element stops once it meets _INVERSE_RTOL, so its digits do not
+        # depend on the other elements of the call
         moving = np.ones(y.shape, dtype=bool)
         for _ in range(6):
             res = F(x) - y
-            moving &= np.abs(res) > rtol * (1.0 + np.abs(y))
+            moving &= np.abs(res) > _INVERSE_RTOL * (1.0 + np.abs(y))
             if not np.any(moving):
                 break
             x = np.where(moving, np.clip(x - res / np.maximum(Fp(x), 1e-300), lo, hi), x)
-        stubborn = np.abs(F(x) - y) > rtol * (1.0 + np.abs(y))
+        stubborn = np.abs(F(x) - y) > _INVERSE_RTOL * (1.0 + np.abs(y))
         for k in np.nonzero(stubborn)[0]:
             x[k] = brentq(lambda s: F(s) - y[k], lo, hi, xtol=1e-14)
         return x
@@ -333,10 +334,8 @@ def build_profile(f: Callable[[NDArray], NDArray], name: str = "custom") -> Nonl
     ts_left, g_left = ts_left[:end_l], g_left[:end_l]
     working_range = (float(ts_left[-1]), float(ts_right[-1]))
 
-    if exact is None:
-        form = _table(fa, ts_left, g_left, overflow_l, ts_right, g_right, overflow_r)
-    else:
-        form = _held(exact, working_range, name)
+    form = exact or _table(fa, ts_left, g_left, overflow_l, ts_right, g_right, overflow_r)
+    form = _held(form, working_range, name)
     classification = EndpointClassification(
         minus_infinity="finite" if np.isfinite(form.a) else "infinite",
         plus_infinity="finite" if np.isfinite(form.b) else "infinite",

@@ -388,8 +388,7 @@ def test_11_crossing_radii_of_the_two_profiles():
 
 def test_12_small_data_decay_band():
     start = time.perf_counter()
-    rep = asymptotic_profile(gaussian_data(0.05), unit_profile(),
-                             fit_window=(5.0, 50.0))
+    rep = asymptotic_profile(gaussian_data(0.05), unit_profile())
     ratio = rep["decay"]["ratio"] if rep["decay"] else np.inf
     checks = [
         (rep["classification"] == "global",

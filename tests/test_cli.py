@@ -17,7 +17,7 @@ from wavecrit.cli import (
     run_scenario,
 )
 from wavecrit.errors import ConfigError
-from wavecrit.radial import RadialGrid
+from wavecrit.radial import RadialField, RadialGrid, field_to_csv
 
 
 def write_yaml(tmp_path, doc, name="scenario.yaml"):
@@ -56,6 +56,8 @@ def test_normalize_rejects_unknown_keys():
         normalize_scenario({"data": {"u2": {}}})
     with pytest.raises(ConfigError):
         normalize_scenario({"equation": {"kind": "heat"}})
+    with pytest.raises(ConfigError, match="unknown key probe.radii"):
+        normalize_scenario({"probe": {"radii": [1.0]}})
 
 
 def test_load_bundled_by_name():
@@ -200,21 +202,21 @@ def test_verify_all(tmp_path, capsys):
 # bit-identical across refactors and speed-ups; a digest changes only
 # together with a CHANGES.md line that states the drift.
 VERIFY_ALL_SHA256 = {
-    "blowup-gaussian-f1-blowup.json": "b3d0bc600b28c6255fd77cc58d2fcae9a9848435853ddc27ec5e9caa6534f989",
-    "constant-null-classify.json": "c424150424c94cfa1fda577811fe8ef7c26a2e33a8f88476efd5721f80c5926b",
+    "blowup-gaussian-f1-blowup.json": "8e02bf9857d9934d557fadd430b1817ded7139af615ec1ca24c74151dfe2f422",
+    "constant-null-classify.json": "fd960562e7c5f940fd232bdbf755a979977395bead72ec7bbad64b5941b580fd",
     "iterate-ground-iterate.csv": "16d7246917bd2f2c1cd7d683cf7046a5c317f6975dda130127d16b409d2a2dbb",
     "iterate-ground-iterate.gp": "452739cc040c70390bfd840309671365baff5dbe3b6c43ffeb165dc00412a9b6",
-    "iterate-ground-iterate.json": "79c10b3fe1ba64086bc4eba553448b021e7f6fd532009d6e42e9a4110d2c2302",
+    "iterate-ground-iterate.json": "044dbb0c59e73184d319b223b97a40034a9c93412bad3e73adc21313c35cdeac",
     "oracle-free-gaussian-oracle.csv": "96f2d2ff1abe0ec9ab4c39853c1d1dd8cdfe07e8e0b2e01c0094e8fdbcb6619a",
     "oracle-free-gaussian-oracle.gp": "7a6478e2bfc7af11218055efc5958110734d44dc0a6d3a57641026d839d31db9",
-    "oracle-free-gaussian-oracle.json": "58d38380f5420c401398aaa4e4df46b8e641829de0eb8e9ba25bf2291764ca85",
+    "oracle-free-gaussian-oracle.json": "e22291fb7c68e7469434c954eddada499553524a4b697e768b4f1514c4b01f3a",
     "verify-all.json": "aa117195459f3822f39bb4c74f7042a337164cb536f286151000eb1763249d12",
     "window-minus-oracle.csv": "f0500fda31cc96499bdd9d394c1be8580ed00c39951e600fed8418cd7836f8e9",
     "window-minus-oracle.gp": "47eeff2bb05c085611156d9c59aeee2f3211b58cf18bb35b15a87468de940192",
-    "window-minus-oracle.json": "b43d581b4ecc75b2a2e8790ec96f0eb11a0249362e171185833e8607aa99b076",
+    "window-minus-oracle.json": "e9f4cf59c9dc411a918238430dc3e1155f340b0f124b7b127ab3b4ba9ca9fc87",
     "window-plus-oracle.csv": "be7b1c96fa2e9a03ba71721c30b03427b583db7c41a5128b2077e6a946be506e",
     "window-plus-oracle.gp": "f96e704a0d377884a9481a6bb021ac4ed49d684b6c4a8c12b2942306d866bfc9",
-    "window-plus-oracle.json": "7a74e228415d78621c901f6bfc8df57ff173505632f33d76fca17406211c6e71",
+    "window-plus-oracle.json": "07f59e116a141338333a03febde7763e4623113303363e51624343d932e9e03d",
 }
 
 
@@ -266,6 +268,23 @@ def test_exit_two_on_broken_tabulated_data(tmp_path, capsys, broken):
     })
     assert main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 2
     assert "tabulated u0" in capsys.readouterr().err
+
+
+def test_tabulated_reads_what_field_to_csv_writes(tmp_path, capsys):
+    grid = RadialGrid.uniform(6.0, 121)
+    field = RadialField(grid, np.cos(grid.nodes))
+    table = tmp_path / "field.csv"
+    field_to_csv(field, str(table))
+    tab = build_field(grid, {"family": "tabulated", "path": str(table)}, "u0")
+    assert np.array_equal(tab.values, field.values)
+    # any other header is still a malformed table
+    table.write_text("radius,u\n0.0,1.0\n6.0,2.0\n")
+    path = write_yaml(tmp_path, {
+        "schema": 1, "name": "header", "action": "solve",
+        "data": {"u0": {"family": "tabulated", "path": str(table)}},
+    })
+    assert main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_exit_two_on_bad_yaml(tmp_path, capsys):

@@ -126,8 +126,6 @@ def test_crossing_radii_closed_form():
         assert s4(r) > q(r)  # singular wins outside the crossings
     for r in (1.0, 3.0):
         assert s4(r) < q(r)
-    with pytest.raises(ConfigError):
-        crossing_radii(N=6)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +606,6 @@ def test_comparison_integrals_hit_closed_forms():
     assert abs(km["energy_ratio"] - 1.5) < 1e-6
     assert abs(km["first_variation"]) < 1e-5
     assert abs(km["second_variation"] + 4.0 * km["grad_norm_sq"]) < 1e-5
-    with pytest.raises(ConfigError):
-        kenig_merle_quantities(N=6)
 
 
 # ---------------------------------------------------------------------------

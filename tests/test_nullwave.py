@@ -907,6 +907,19 @@ class TestVerifyPointwiseBounds:
         )
         assert report["c0"] == pytest.approx(expected, rel=1e-12)
 
+    def test_c0_is_the_verdicts(self, unit):
+        # both read one shell norm ‖r(u₀)_r‖ + ‖ru₁‖ over nodes and midpoints
+        sol = null_solution(
+            pair(
+                lambda r: 0.4 * np.exp(-(((r - 1.3) / 0.9) ** 2)),
+                lambda r: 0.03 * np.exp(-((r / 0.8) ** 2)),
+                RadialGrid.uniform(10.0, 401),
+            ),
+            unit,
+        )
+        report = verify_pointwise_bounds(sol, [0.0])
+        assert report["c0"] == pytest.approx(sol.verdict.bounds["c0"], rel=1e-14, abs=0.0)
+
     def test_requires_unit_weight(self):
         profile = build_profile(builtin_nonlinearity("sin"))
         sol = null_solution(passing_data(), profile)

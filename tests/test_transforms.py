@@ -224,6 +224,17 @@ def test_closed_form_keeps_the_working_range_guards(weight):
             p.F_inverse(2.0 * p.F(hi))
 
 
+def test_table_inverse_keeps_the_working_range_guard():
+    # b = 1.57105 is finite, but F(50) = 1.55080 at the end of the working
+    # range: values between the two have no preimage there
+    p = build_profile(lambda u: 2.0 * u / (1.0 + u**2))
+    hi = p.working_range[1]
+    for y in (1.56, p.F(hi) * (1.0 + 1e-13)):
+        with pytest.raises(ValueError, match="beyond F of the working range"):
+            p.F_inverse(y)
+    assert p.F_inverse(p.F(hi)) == hi
+
+
 def test_gaps_of_the_closed_forms():
     # f ≡ 1: (b - F)/F' = 1 everywhere, where b - F alone rounds to 0
     p = build_profile(builtin_nonlinearity("const", 1.0))
