@@ -181,12 +181,17 @@ def build_field(grid: RadialGrid, spec: dict, slot: str) -> RadialField:
     if family == "tabulated":
         if "path" not in spec:
             raise ConfigError(f"tabulated {slot} needs a path")
-        lines = Path(str(spec["path"])).read_text().splitlines()
+        path = str(spec["path"])
+        lines = Path(path).read_text().splitlines()
         if lines[:1] == ["r,value"]:  # the header field_to_csv writes
             lines = lines[1:]
+        if not any(line.strip() for line in lines):
+            raise ConfigError(f"tabulated {slot} has no rows in {path}")
         table = np.loadtxt(lines, delimiter=",", ndmin=2)
         if table.shape[1] < 2:
-            raise ConfigError(f"tabulated {slot} needs two columns, r and the value")
+            raise ConfigError(f"tabulated {slot} needs two columns, r and the value, in {path}")
+        if not np.all(np.diff(table[:, 0]) > 0):
+            raise ConfigError(f"tabulated {slot}: r is not strictly increasing in {path}")
         return RadialField(grid, np.interp(r, table[:, 0], table[:, 1]))
     raise ConfigError(f"unknown data family {family!r}")
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -256,18 +257,32 @@ def test_exit_two_on_malformed_grid(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("broken", ["no path", "one column"])
+_BROKEN_TABLES = {  # file text (None: no path given), fault named
+    "no path": (None, "needs a path"),
+    "one column": ("0.0\n1.0\n2.0\n", "two columns"),
+    "empty": ("", "no rows"),
+    "header only": ("r,value\n", "no rows"),
+    "decreasing r": ("8,0\n4,1\n0,2\n", "strictly increasing"),
+    "repeated r": ("0,0\n4,1\n4,2\n8,3\n", "strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("broken", list(_BROKEN_TABLES))
 def test_exit_two_on_broken_tabulated_data(tmp_path, capsys, broken):
+    text, fault = _BROKEN_TABLES[broken]
     spec = {"family": "tabulated"}
-    if broken == "one column":
-        table = tmp_path / "one.csv"
-        table.write_text("0.0\n1.0\n2.0\n")
-        spec["path"] = str(table)
+    if text is not None:
+        spec["path"] = str(tmp_path / "table.csv")
+        (tmp_path / "table.csv").write_text(text)
     path = write_yaml(tmp_path, {
         "schema": 1, "name": "badtable", "action": "solve", "data": {"u0": spec},
     })
-    assert main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 2
-    assert "tabulated u0" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "tabulated u0" in err and fault in err
+    assert spec.get("path", "tabulated u0") in err
 
 
 def test_tabulated_reads_what_field_to_csv_writes(tmp_path, capsys):

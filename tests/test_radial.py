@@ -7,9 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from scipy.fft import fft, ifft, irfft, rfft
+from scipy.fft import fft, fftn, ifft, ifftn, irfft, rfft
 from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
@@ -37,6 +37,7 @@ from wavecrit.errors import WavecritError
 from wavecrit.radial import (
     _cube_kernel_spectrum,
     _cube_potential,
+    _cube_workspace,
     cube_points,
     cubic_spline,
     panel_cumulative,
@@ -407,38 +408,126 @@ class TestKatoNorm:
         keep=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(n_side=7, L=1.0, keep=0.125, seed=1563291)  # sparse: shells grow outward
     def test_cube_potential_matches_direct_sum(self, n_side, L, keep, seed):
         rng = np.random.default_rng(seed)
         xs = np.linspace(-L, L, n_side)
         h = xs[1] - xs[0]
         r = np.sqrt(xs[:, None, None] ** 2 + xs[None, :, None] ** 2 + xs[None, None, :] ** 2)
-        # the envelope keeps outer shells lighter, as the growth check asks
+        # the envelope keeps outer shells lighter unless the draw is sparse
         shape = (n_side,) * 3
         values = rng.random(shape) * (rng.random(shape) < keep) * np.exp(-((r / (0.4 * L)) ** 2))
         masses = values * h**3
         ref = _reference_potential(masses, h)
+        bound = 2e-6 * ref.max()  # single-precision transform
         potential = _cube_potential(masses, h, _cube_kernel_spectrum(n_side))
-        np.testing.assert_allclose(potential, ref, rtol=1e-12, atol=0.0)
-        res = kato_norm(_cube_lookup(values, L), n_side=n_side)
-        np.testing.assert_allclose(res.value, ref.max(), rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(potential - ref) <= bound)
+        f = _cube_lookup(values, L)
+        edges = np.linspace(0.0, L, 6)
+        shells = np.array([masses[(r >= lo) & (r < hi)].sum() for lo, hi in zip(edges, edges[1:])])
+        if shells[-1] > shells[-2] > shells[-3] > 0:
+            with pytest.raises(ExtentError) as info:
+                kato_norm(f, n_side=n_side)
+            np.testing.assert_allclose(info.value.shell_masses, shells, rtol=1e-14, atol=0.0)
+        else:
+            assert abs(kato_norm(f, n_side=n_side).value - ref.max()) <= bound
+
+    def test_finite_samples_beyond_float64_transform_range(self):
+        # every mass is finite, but a float64 transform of them overflows
+        def fn(p):
+            return 1e305 * np.exp(-np.sum(p * p, axis=1) / 10.0)
+
+        with np.errstate(all="raise"):
+            res = kato_norm(Field3D(fn=fn, support_radius=8.0))
+        # the exact norm is 4π ∫ 1e305 e^{-r²/10} r dr = 20π·1e305
+        np.testing.assert_allclose(res.value, 20.0 * np.pi * 1e305, rtol=2e-3)
+        assert res.resolved
+
+    def test_mass_or_norm_beyond_float64_raises(self):
+        # |f|·h³ overflows on the cube of half-side 50 (h = 2.5) at its first cell
+        flat = Field3D(fn=lambda p: np.full(len(p), 1e308), support_radius=50.0)
+        with np.errstate(all="raise"), pytest.raises(KatoClassError, match="mass") as info:
+            kato_norm(flat)
+        np.testing.assert_array_equal(info.value.witness_point, [-50.0, -50.0, -50.0])
+        assert info.value.witness_value == 1e308
+        # finite masses whose norm (20π·1.7e308) overflows, peaked at the origin
+        steep = Field3D(fn=lambda p: 1.7e308 * np.exp(-np.sum(p * p, axis=1) / 10.0),
+                        support_radius=8.0)
+        with np.errstate(all="raise"), pytest.raises(KatoClassError, match="norm") as info:
+            kato_norm(steep)
+        np.testing.assert_array_equal(info.value.witness_point, [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("n_side", [0, 1, 2, -41, 41.0, "41", None])
+    def test_cube_rejects_bad_n_side(self, n_side):
+        with pytest.raises(GridError, match="n_side"):
+            kato_norm(_gaussian(), n_side=n_side)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_side=st.integers(3, 41),
+        L=st.floats(0.5, 10.0),
+        center=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        width=st.floats(0.2, 3.0),
+        holes=st.booleans(),
+        exponent=st.floats(-300.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kato_norm_matches_float64_transform(self, n_side, L, center, width, holes,
+                                                 exponent, seed):
+        def fn(p):
+            v = np.exp(-np.sum(((p - np.asarray(center)) / width) ** 2, axis=1))
+            if holes:
+                v *= np.random.default_rng(seed).random(v.size) < 0.5
+            return 10.0**exponent * v
+
+        f = Field3D(fn=fn, support_radius=L)
+        try:
+            want = _reference_kato_cube(f, n_side, float64=True)[0]
+        except ExtentError:
+            with pytest.raises(ExtentError):
+                kato_norm(f, n_side)
+            return
+        got = kato_norm(f, n_side).value
+        assert abs(got - want) <= 2e-6 * want
 
 
 def _reference_cube_potential(masses, h, spectrum):
     # each axis padded by a fresh copy as it is transformed: the oracle of
-    # the in-place transforms in a reused workspace
+    # the in-place transforms in a reused workspace, with the same scaling
+    # by 2^e ≥ the largest mass and the same single-precision arithmetic
     n = masses.shape[0]
     size = 2 * n - 2
-    t = rfft(masses, n=size, axis=2)
+    e = int(np.frexp(masses.max())[1])
+    t = rfft(np.ldexp(masses, -e).astype(np.float32), n=size, axis=2)
     t = fft(t, n=size, axis=1)
     t = fft(t, n=size, axis=0)
     t *= spectrum
     t = ifft(t, axis=0, overwrite_x=True)[:n]
     t = ifft(t, axis=1)[:, :n]
-    return irfft(t, n=size, axis=2)[:, :, :n] / h
+    return np.ldexp(irfft(t, n=size, axis=2)[:, :, :n].astype(float) / h, e)
 
 
-def _reference_kato_cube(f, n_side):
-    # the cube with its points by meshgrid and its radii by np.linalg.norm
+def _float64_cube_potential(masses, h):
+    # the convolution in double precision, its kernel spectrum by a full
+    # FFT of the even periodic pad: the oracle of the single-precision
+    # transform (masses scaled by 2^e, so at any scale it cannot overflow)
+    n = masses.shape[0]
+    size = 2 * n - 2
+    m = np.minimum(np.arange(size), size - np.arange(size)) ** 2.0
+    kernel = m[:, None, None] + m[None, :, None] + m[None, None, :]
+    kernel[0, 0, 0] = 1.0
+    kernel = 1.0 / np.sqrt(kernel)
+    kernel[0, 0, 0] = 2.0 * np.pi * (3.0 / (4.0 * np.pi)) ** (2.0 / 3.0)
+    e = int(np.frexp(masses.max())[1])
+    padded = np.zeros((size,) * 3)
+    padded[:n, :n, :n] = np.ldexp(masses, -e)
+    potential = ifftn(fftn(padded) * fftn(kernel).real).real
+    return np.ldexp(potential[:n, :n, :n] / h, e)
+
+
+def _reference_kato_cube(f, n_side, float64=False):
+    # the cube with its points by meshgrid and its radii by np.linalg.norm;
+    # float64: its potential by the double-precision transform
     spectrum = _cube_kernel_spectrum(n_side)
     L = f.support_radius
     xs = np.linspace(-L, L, n_side)
@@ -454,20 +543,25 @@ def _reference_kato_cube(f, n_side):
             witness_value=float(samples[k]),
         )
     vals = np.abs(samples) * h**3
+    # shells in units of 2^e ≥ the largest mass, as the cube sums them
+    e = int(np.frexp(vals.max())[1])
+    scaled = np.ldexp(vals, -e)
     radii = np.linalg.norm(pts, axis=1)
     edges = np.linspace(0.0, L, 6)
     shells = np.array([
-        vals[(radii >= lo) & (radii < hi)].sum() for lo, hi in zip(edges, edges[1:])
+        scaled[(radii >= lo) & (radii < hi)].sum() for lo, hi in zip(edges, edges[1:])
     ])
-    total = vals.sum()
+    total = scaled.sum()
     if shells[-1] > shells[-2] > shells[-3] > 0:
         raise ExtentError(
             "Kato cube does not resolve the field: shell masses grow outward",
-            shell_masses=shells,
+            shell_masses=np.ldexp(shells, e),
             support_radius=L,
         )
     tail_fraction = float(shells[-1] / total) if total > 0 else 0.0
-    potential = _reference_cube_potential(vals.reshape((n_side,) * 3), h, spectrum)
+    cube = vals.reshape((n_side,) * 3)
+    potential = (_float64_cube_potential(cube, h) if float64
+                 else _reference_cube_potential(cube, h, spectrum))
     cell = np.unravel_index(int(np.argmax(potential)), potential.shape)
     return (float(potential[cell]), xs[list(cell)], tail_fraction <= 0.05, tail_fraction)
 
@@ -508,7 +602,7 @@ class TestCubeWorkspace:
         spectrum = _cube_kernel_spectrum(n_side)
         _cube_potential(rng.random(shape), h, spectrum)  # leaves the workspace dirty
         masses = rng.random(shape) * (rng.random(shape) < keep) * 10.0**exponent
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="raise", invalid="raise"):  # scaled: no scale overflows
             want = _reference_cube_potential(masses, h, spectrum)
             got = _cube_potential(masses, h, spectrum)
         np.testing.assert_array_equal(got, want)
@@ -603,8 +697,15 @@ class TestCubeWorkspace:
         assert np.array_equal(cached, before)
         assert first == second == _outcome(lambda: kato_norm(_gaussian(), 41))
 
+    def test_transform_runs_in_single_precision(self):
+        kato_norm(_gaussian(), 41)
+        points, padded, t = _cube_workspace(41)
+        assert (points.dtype, padded.dtype, t.dtype, _cube_kernel_spectrum(41).dtype) == (
+            np.float64, np.float32, np.complex64, np.float32)
+
     def test_warm_cube_allocates_little(self):
-        # the parent's pad-by-copy transforms peaked at 6.65 MiB here
+        # pad-by-copy float64 transforms peaked at 6.65 MiB here, the float64
+        # workspace at 2.21 MiB, the float32 one at 2.11 MiB
         f = _gaussian()
         kato_norm(f, 41)  # builds this thread's workspace and the spectrum
         tracemalloc.start()
@@ -613,7 +714,7 @@ class TestCubeWorkspace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 2**20
+        assert peak < 2.5 * 2**20
 
 
 class TestRowNorm:
