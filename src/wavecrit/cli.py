@@ -36,6 +36,11 @@ from .transforms import build_profile, builtin_nonlinearity
 SCHEMA_VERSION = 1
 ACTIONS = ("classify", "solve", "blowup", "iterate", "oracle")
 
+_DEF_EQUATION = {
+    "free": {"kind": "free"},
+    "null-form": {"kind": "null-form", "f": "const", "param": 1.0},
+    "focusing": {"kind": "focusing", "N": 4, "sign": 1},
+}
 _DEF_GRID = {"r_max": 8.0, "n": 161, "grading": "uniform"}
 _DEF_SOLVER = {
     "tol": 1e-8,
@@ -60,6 +65,14 @@ def _merge(defaults: dict, given: dict, context: str) -> dict:
     return out
 
 
+def _number(value, key: str, kind=float):
+    """value as a kind, or ConfigError naming the key (null included)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 def normalize_scenario(doc: dict) -> dict:
     """Fill every default explicitly and validate the shape."""
     if not isinstance(doc, dict):
@@ -77,18 +90,9 @@ def normalize_scenario(doc: dict) -> dict:
 
     equation = dict(doc.get("equation") or {"kind": "free"})
     kind = equation.get("kind", "free")
-    if kind == "null-form":
-        equation = _merge(
-            {"kind": "null-form", "f": "const", "param": 1.0}, equation, "equation"
-        )
-    elif kind == "focusing":
-        equation = _merge(
-            {"kind": "focusing", "N": 4, "sign": 1}, equation, "equation"
-        )
-    elif kind == "free":
-        equation = _merge({"kind": "free"}, equation, "equation")
-    else:
+    if not isinstance(kind, str) or kind not in _DEF_EQUATION:
         raise ConfigError(f"unknown equation kind {kind!r}")
+    equation = _merge(_DEF_EQUATION[kind], equation, "equation")
 
     grid = _merge(dict(_DEF_GRID, nodes=None), dict(doc.get("grid") or {}), "grid")
     data = dict(doc.get("data") or {})
@@ -100,7 +104,7 @@ def normalize_scenario(doc: dict) -> dict:
         "u1": dict(data.get("u1") or {"family": "zero"}),
     }
 
-    horizon = float(doc.get("horizon", 1.0))
+    horizon = _number(doc.get("horizon", 1.0), "horizon")
     probe = _merge({"times": [horizon]}, dict(doc.get("probe") or {}), "probe")
     solver = _merge(_DEF_SOLVER, dict(doc.get("solver") or {}), "solver")
     expect = list(doc.get("expect") or [])
@@ -151,10 +155,11 @@ def load_scenario(ref: str) -> dict:
 def build_grid(spec: dict) -> RadialGrid:
     if spec.get("nodes") is not None:
         return RadialGrid(np.asarray(spec["nodes"], dtype=float), grading="loaded")
+    r_max, n = _number(spec["r_max"], "grid.r_max"), _number(spec["n"], "grid.n", int)
     if spec["grading"] == "uniform":
-        return RadialGrid.uniform(float(spec["r_max"]), int(spec["n"]))
+        return RadialGrid.uniform(r_max, n)
     if spec["grading"] == "graded":
-        return RadialGrid.graded(float(spec["r_max"]), int(spec["n"]))
+        return RadialGrid.graded(r_max, n)
     raise ConfigError(f"unknown grading {spec['grading']!r}")
 
 
@@ -209,10 +214,7 @@ def _weight_spec(eq: dict) -> Tuple[str, Optional[float]]:
     name = eq["f"]
     if name in ("sin", "neg_arctan"):
         return name, None
-    try:
-        return name, float(eq["param"])
-    except KeyError as exc:
-        raise ConfigError(str(exc))
+    return name, _number(eq.get("param"), "equation.param")
 
 
 def _weight(name: str, param: Optional[float]):
@@ -282,7 +284,8 @@ def _act_solve(scenario: dict, series: dict) -> dict:
     kind = scenario["equation"]["kind"]
     if kind == "focusing":
         _, sups, out = _iterate(scenario, data, series)
-        out["sup_final"] = float(sups[np.isfinite(sups)][-1])
+        finite = sups[np.isfinite(sups)]
+        out["sup_final"] = float(finite[-1]) if finite.size else None
         return out
     if kind == "null-form":
         profile = _profile(scenario)

@@ -29,6 +29,7 @@ from .radial import (
     differentiate,
     kato_norm,
     row_norm,
+    spline_laplacian,
 )
 from .transforms import NonlinearityProfile
 
@@ -175,22 +176,6 @@ def _derivative_spline(f: RadialField) -> PPoly:
     return cubic_spline(f.grid.nodes, differentiate(f).values)
 
 
-def _laplacian_fn(f: RadialField) -> Callable[[NDArray], NDArray]:
-    # Δf = f'' + 2f'/r, limit 3f''(0) for even fields
-    sp = _spline(f)
-    d1, d2 = sp.derivative(), sp.derivative(2)
-
-    def lap(r: NDArray) -> NDArray:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        pos = r > 0
-        out[pos] = d2(r[pos]) + 2.0 * d1(r[pos]) / r[pos]
-        out[~pos] = 3.0 * d2(0.0)
-        return out
-
-    return lap
-
-
 # -- the four positivity cases ----------------------------------------------
 # In dimensions 1-3 the fundamental solution is positive, so u keeps its sign
 # when the data meet one case, each a side lead ≥ Σ|term|: (i) u₀ ≥ 0 for an
@@ -218,7 +203,7 @@ def _case_terms(data: CauchyData, case: str, shell: Optional[RadialField] = None
     if case == "iii":
         m1, d0 = _moment_spline(data.u1), _derivative_spline(data.u0)
         return _off_origin(lambda r: m1(r) / r, data.u1.values[0]), [_off_origin(d0, 0.0)]
-    lap = _laplacian_fn(data.u0)
+    lap = spline_laplacian(_spline(data.u0))
     return (lambda r: -lap(r)), [_derivative_spline(data.u1)]
 
 

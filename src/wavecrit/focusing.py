@@ -25,9 +25,9 @@ from .criteria import (
     Verdict,
     _case_terms,
     _dominance,
-    _laplacian_fn,
     _levels,
     _outgoing_verdict,
+    _spline,
     _verdict,
 )
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     SolitonError,
 )
 from .freewave import CauchyData, FreePropagator
-from .radial import RadialField, RadialGrid, differentiate, line_integral
+from .radial import RadialField, RadialGrid, differentiate, line_integral, spline_laplacian
 
 __all__ = [
     "IterationState",
@@ -238,12 +238,6 @@ def _lattice_map(nodes: NDArray, n_t: int) -> Callable[[NDArray, NDArray, float,
     return apply
 
 
-def _duhamel_lattice(
-    free: NDArray, source: NDArray, nodes: NDArray, exponent: float, cap: float
-) -> NDArray:
-    return _lattice_map(nodes, source.shape[1])(free, source, exponent, cap)
-
-
 def _infected_mask(mask: NDArray) -> NDArray:
     # forward light cone of every masked node, one node per time step: (q, m)
     # reaches (i, j) exactly when q − m ≥ i − j and q + m ≤ i + j (the cones
@@ -279,7 +273,8 @@ def duhamel_apply(data: CauchyData, source: NDArray, exponent: float) -> NDArray
     if source.shape[1] > nodes.size:
         raise ExtentError("more time columns than nodes", shape=source.shape)
     times = data.grid.spacing * np.arange(source.shape[1])
-    return _duhamel_lattice(_free_lattice(data, times), source, nodes, exponent, np.inf)
+    free = _free_lattice(data, times)
+    return _lattice_map(nodes, source.shape[1])(free, source, exponent, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +619,7 @@ def supersolution_check(
         lap = laplacian.values
         source = "supplied"
     else:
-        lap = _laplacian_fn(u0)(nodes)
+        lap = spline_laplacian(_spline(u0))(nodes)
         source = "spline"
     power = np.sign(vals) * np.abs(vals) ** (N + 1.0)
     gaps = np.minimum(-lap - power, vals)

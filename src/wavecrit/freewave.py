@@ -46,6 +46,7 @@ from .radial import (
     cube_points,
     cubic_spline,
     row_norm,
+    spline_laplacian,
 )
 
 __all__ = [
@@ -224,10 +225,11 @@ class FreePropagator:
     expression in Ψ_out, Ψ_in or their first two derivatives.  Beyond the
     grid the profiles are frozen at their boundary values (Ψ continued
     linearly); truncation() reports when that extension is reachable.
+    pair is the split the propagator was built from.
     """
 
     def __init__(self, source: Union[CauchyData, DalembertPair]):
-        pair = dalembert_split(source) if isinstance(source, CauchyData) else source
+        self.pair = pair = dalembert_split(source) if isinstance(source, CauchyData) else source
         self.grid = pair.grid
         r = self.grid.nodes
         self._rho = float(r[-1])
@@ -312,6 +314,15 @@ class FreePropagator:
     def trusted_radius(self, t: float) -> float:
         return self._rho - abs(t)
 
+    def check_extent(self, t: float) -> None:
+        """Raise ExtentError when no radius is trusted at time t (|t| ≥ r_max)."""
+        if self.trusted_radius(t) <= 0:
+            raise ExtentError(
+                f"insufficient grid extent: |t| = {abs(t):g} reaches r_max = {self._rho:g}",
+                time=float(t),
+                r_max=self._rho,
+            )
+
     def truncation(self, t: float) -> TruncationInfo:
         return TruncationInfo(
             truncated=abs(t) > 1e-14 * max(1.0, self._rho),
@@ -360,10 +371,7 @@ class FreePropagator:
 def propagate_radial(data: CauchyData, t: float, full_output: bool = False):
     """u(·, t) on the data grid; errors out once nothing is trusted."""
     prop = FreePropagator(data)
-    if prop.trusted_radius(t) <= 0:
-        raise ExtentError(
-            f"insufficient grid extent: |t| = {abs(t):g} exceeds r_max = {prop.grid.r_max:g}"
-        )
+    prop.check_extent(t)
     u = prop.field(t)
     return (u, prop.truncation(t)) if full_output else u
 
@@ -376,10 +384,7 @@ def time_translate_split(pair: DalembertPair, t0: float) -> DalembertPair:
     the shifted argument turns negative.  Exact for either sign of t0.
     """
     prop = FreePropagator(pair)
-    if prop.trusted_radius(t0) <= 0:
-        raise ExtentError(
-            f"insufficient grid extent: |t0| = {abs(t0):g} exceeds r_max = {pair.grid.r_max:g}"
-        )
+    prop.check_extent(t0)
     r = pair.grid.nodes
     plus = RadialField(pair.grid, prop._psi_out(r - t0, 1), parity="none")
     minus = RadialField(pair.grid, prop._psi_in(r + t0, 1), parity="none")
@@ -505,8 +510,7 @@ def as_general(data: CauchyData) -> CauchyData:
 
     def lift(field: RadialField) -> Field3D:
         s = cubic_spline(field.grid.nodes, field.values)
-        d1, d2 = s.derivative(), s.derivative(2)
-        origin = 3 * d2(0.0)
+        d1 = s.derivative()
 
         def fn(pts):
             rho = row_norm(pts)
@@ -522,14 +526,9 @@ def as_general(data: CauchyData) -> CauchyData:
             )
             return pts * scale[:, None]
 
-        def lap(pts):
-            rho = row_norm(pts)
-            clipped = np.minimum(rho, r_max)
-            inner = d2(clipped) + 2 * d1(clipped) / np.maximum(rho, 1e-12)
-            out = np.where(rho > 1e-12, inner, origin)
-            return np.where(rho <= r_max, out, 0.0)
-
-        return Field3D(fn=fn, grad=grad, laplacian=lap, support_radius=r_max)
+        lap = spline_laplacian(s)
+        return Field3D(fn=fn, grad=grad, laplacian=lambda pts: lap(row_norm(pts)),
+                       support_radius=r_max)
 
     return CauchyData(lift(data.u0), lift(data.u1))
 

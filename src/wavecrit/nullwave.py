@@ -20,11 +20,10 @@ from .criteria import Verdict, _nirenberg_like, quadratic_global_condition
 from .errors import (
     AdmissibilityError,
     CeasedSolutionError,
-    ExtentError,
     GridError,
     WitnessError,
 )
-from .freewave import CauchyData, DalembertPair, FreePropagator, dalembert_split
+from .freewave import CauchyData, FreePropagator
 from .radial import RadialField, differentiate, line_integral
 from .transforms import NonlinearityProfile, push_forward
 
@@ -67,14 +66,8 @@ def solve_null(data: CauchyData, profile: NonlinearityProfile, t: float) -> Radi
     Raises when the whole slice is untrusted or when v(·, t) leaves (a, b),
     i.e. the solution has ceased by time t.
     """
-    vdata = push_forward(data, profile)
-    prop = FreePropagator(vdata)
-    if prop.trusted_radius(t) <= 0.0:
-        raise ExtentError(
-            "propagation extent insufficient for the requested time",
-            time=float(t),
-            r_max=float(data.grid.r_max),
-        )
+    prop = FreePropagator(push_forward(data, profile))
+    prop.check_extent(t)
     return _invert_slice(prop.field(t), profile)
 
 
@@ -172,11 +165,6 @@ def _layout_rows(nodes, edge, k, origin, coarse, lengths):
     return rs, lengths
 
 
-def _cone_rows(nodes, r0: float, ts):
-    """Padded rows of the shrinking cone r ≤ r0 - |t| (see _layout_rows)."""
-    return _layout_rows(nodes, *_row_layout(nodes, r0, ts))
-
-
 def _row_mins(slack, ts, rs, lengths, zero):
     """Refined minimum of slack over each padded row and its radius, from one
     broadcast evaluation on r > 0 plus one for the vertices; zero holds each
@@ -189,7 +177,7 @@ def _row_mins(slack, ts, rs, lengths, zero):
 def _cone_mins(slack, origin, nodes, r0: float, ts):
     """Refined minimum of slack over the shrinking cone and its radius, for
     each time in ts; origin gives the slack at r = 0."""
-    return _row_mins(slack, ts, *_cone_rows(nodes, r0, ts), origin(ts))
+    return _row_mins(slack, ts, *_layout_rows(nodes, *_row_layout(nodes, r0, ts)), origin(ts))
 
 
 def _first_touch(slack, origin, nodes, r0: float, lip: float, noise: float):
@@ -347,15 +335,15 @@ def detect_blowup(
     The touch is the first inside the cones, not the first anywhere: v can
     reach the endpoint earlier at radii outside them (see BlowupReport).
     """
-    pair = dalembert_split(push_forward(data, profile))
-    return _locate_blowup(pair, FreePropagator(pair), profile, fit_rate)
+    return _locate_blowup(FreePropagator(push_forward(data, profile)), profile, fit_rate)
 
 
 def _locate_blowup(
-    pair: DalembertPair, prop: FreePropagator, profile: NonlinearityProfile, fit_rate: bool
+    prop: FreePropagator, profile: NonlinearityProfile, fit_rate: bool
 ) -> BlowupReport:
-    """detect_blowup given the split pushed data and their propagator."""
+    """detect_blowup given the propagator of the pushed data."""
     a, b = profile.a, profile.b
+    pair = prop.pair
     r = pair.grid.nodes
 
     candidates = []
@@ -403,8 +391,9 @@ class NullSolution:
 
     validity is "global" when the pointwise criterion (verdict) holds
     strictly and "cone-limited" otherwise, in which case blowup is the
-    detect_blowup report (without the rate fit) and first_zero its boundary
-    touch (t0, r1).  Wherever the solution is valid, a < v < b pointwise.
+    detect_blowup report (without the rate fit), its boundary touch at
+    (blowup.t0, blowup.x0_radius).  Wherever the solution is valid,
+    a < v < b pointwise.
     """
 
     profile: NonlinearityProfile
@@ -412,7 +401,6 @@ class NullSolution:
     data: CauchyData
     propagator: FreePropagator
     verdict: Verdict
-    first_zero: Optional[Tuple[float, float]] = None
     blowup: Optional[BlowupReport] = None
 
     def v(self, t: float) -> RadialField:
@@ -438,22 +426,14 @@ class NullSolution:
 
 def null_solution(data: CauchyData, profile: NonlinearityProfile) -> NullSolution:
     verdict = quadratic_global_condition(data, profile)
-    pair = dalembert_split(push_forward(data, profile))
-    prop = FreePropagator(pair)
-    first_zero = report = None
-    if verdict.holds:
-        validity = "global"
-    else:
-        validity = "cone-limited"
-        report = _locate_blowup(pair, prop, profile, fit_rate=False)
-        first_zero = (report.t0, report.x0_radius)
+    prop = FreePropagator(push_forward(data, profile))
+    report = None if verdict.holds else _locate_blowup(prop, profile, fit_rate=False)
     return NullSolution(
         profile=profile,
-        validity=validity,
+        validity="global" if verdict.holds else "cone-limited",
         data=data,
         propagator=prop,
         verdict=verdict,
-        first_zero=first_zero,
         blowup=report,
     )
 
@@ -591,12 +571,11 @@ def dispersion_metrics(sol: NullSolution, probes: Optional[Sequence[float]] = No
     }
 
 
-def conserved_energy_quadratic(u_field: RadialField, u_t_field: RadialField, full_output: bool = False):
+def conserved_energy_quadratic(u_field: RadialField, u_t_field: RadialField) -> float:
     """∫ e^{-2u} (u_t² + u_r²) over ℝ³, the conserved quantity of the family.
 
     This is the free energy of the v = e^{-u} picture written in the original
-    unknown.  The tail diagnostic is returned alongside when full_output is
-    set; an unresolved tail flags the value rather than raising.
+    unknown; its tail beyond the grid is not corrected.
     """
     if not np.array_equal(u_field.grid.nodes, u_t_field.grid.nodes):
         raise GridError("fields must share one grid")
@@ -604,8 +583,7 @@ def conserved_energy_quadratic(u_field: RadialField, u_t_field: RadialField, ful
     u = u_field.values
     ur = differentiate(u_field).values
     integrand = np.exp(-2.0 * u) * (u_t_field.values**2 + ur**2) * r**2
-    value, info = line_integral(u_field.grid, integrand, tail="flag", full_output=True)
-    return (value, info) if full_output else value
+    return line_integral(u_field.grid, integrand, tail="flag")
 
 
 # -- long-time behaviour -----------------------------------------------------
@@ -636,8 +614,7 @@ def asymptotic_profile(data: CauchyData, profile: NonlinearityProfile) -> Dict:
     reported.
     """
     vdata = push_forward(data, profile)
-    pair = dalembert_split(vdata)
-    prop = FreePropagator(pair)
+    prop = FreePropagator(vdata)
     a, b = profile.a, profile.b
     R = _support_radius(vdata)
     flags = []
@@ -680,7 +657,7 @@ def asymptotic_profile(data: CauchyData, profile: NonlinearityProfile) -> Dict:
         "decay": None,
     }
     if classification == "blow-up":
-        report["blowup"] = _locate_blowup(pair, prop, profile, fit_rate=True)
+        report["blowup"] = _locate_blowup(prop, profile, fit_rate=True)
     if classification == "global":
         ts = np.linspace(5.0, 50.0, 32)
         etas = np.array([t * _slice_amplitude(prop, profile, float(t), R) for t in ts])

@@ -19,8 +19,9 @@ measure, ∫_{ℝ³} f dx = 4π ∫₀^∞ f(r) r² dr.  This module provides
   sampled 3D fields, in a workspace each thread reuses,
 * row_norm / cube_points: |x| of each row of a point array, and the n³
   points of a cube,
-* panel_cumulative / cubic_spline: cumulative Gauss-Legendre integrals,
-  and the not-a-knot cubic spline every module builds,
+* panel_cumulative / cubic_spline / spline_laplacian: cumulative
+  Gauss-Legendre integrals, the not-a-knot cubic spline every module builds,
+  and the one Laplacian of a radial spline,
 * inverse_laplacian_radial: u with -Δu = g and u → 0 at infinity,
 * CSV / JSON serialization for fields.
 
@@ -465,20 +466,16 @@ def cube_points(xs: NDArray, out: Optional[NDArray] = None) -> NDArray:
     return pts
 
 
-def _cube_potential(masses: NDArray, h: float, spectrum: NDArray) -> NDArray:
-    """Σ_x masses[x] K(x − c) at every cell c of an n³ cube of spacing h,
+def _cube_potential(masses: NDArray, spectrum: NDArray) -> NDArray:
+    """Σ_x masses[x] K(x − c) at every cell c of an n³ cube of unit spacing,
     by one zero-padded real FFT convolution in single precision: K is
-    1/|x − c| off the cell and the equivalent-ball average on it.
-
-    The masses (≥ 0, finite) are divided by the power of two 2^e ≥ their
-    maximum, which is exact, so float32 never overflows whatever their
-    scale; the float64 result is the float32 potential times 2^e/h.  Every
-    cell is within 2e-6 of the largest cell of a float64 transform (worst
-    seen 6e-7, n ≤ 41)."""
+    1/|x − c| off the cell and the equivalent-ball average on it.  The
+    masses (in [0, 1), so float32 holds them at any scale) are cast once
+    into the pad; the result is the float32 potential.  Every cell is within
+    2e-6 of the largest cell of a float64 transform (worst seen 6e-7, n ≤ 41)."""
     n = masses.shape[0]
     _, padded, t = _cube_workspace(n)
-    e = int(np.frexp(masses.max())[1])
-    np.ldexp(masses, -e, out=padded[:, :, :n], casting="same_kind")
+    padded[:, :, :n] = masses
     # Axis by axis and in place, so each axis is padded only when it is
     # transformed and cropped back to the cube as soon as it is inverted;
     # only the pad blocks need zeros again.
@@ -490,8 +487,7 @@ def _cube_potential(masses: NDArray, h: float, spectrum: NDArray) -> NDArray:
     t *= spectrum
     ifft(t, axis=0, overwrite_x=True)
     ifft(t[:n], axis=1, overwrite_x=True)
-    potential = np.divide(irfft(t[:n, :n], n=2 * n - 2, axis=2)[:, :, :n], h, dtype=float)
-    return np.ldexp(potential, e, out=potential)
+    return irfft(t[:n, :n], n=2 * n - 2, axis=2)[:, :, :n]
 
 
 def _kato_cube(f: Field3D, n_side: int) -> KatoNormResult:
@@ -547,11 +543,13 @@ def _kato_cube(f: Field3D, n_side: int) -> KatoNormResult:
         )
     tail_fraction = float(shells[-1] / total) if total > 0 else 0.0
     del samples, radii  # the transforms need neither
-    potential = _cube_potential(vals.reshape((n_side,) * 3), h, spectrum)
+    potential = _cube_potential(vals.reshape((n_side,) * 3), spectrum)
+    # the argmax of the float32 cells is that of the cells over h: distinct
+    # float32 values stay distinct in float64, and ties keep the first
     cell = np.unravel_index(int(np.argmax(potential)), potential.shape)
     center = xs[list(cell)]
     with np.errstate(over="ignore"):
-        value = float(np.ldexp(potential[cell], e))
+        value = float(np.ldexp(float(potential[cell]) / h, e))
     if not np.isfinite(value):
         raise KatoClassError(
             f"Kato norm beyond float64 at cell {tuple(center.tolist())}",
@@ -659,6 +657,21 @@ def cubic_spline(x: NDArray, y: NDArray) -> PPoly:
     c[2] = s[:-1]
     c[3] = y[:-1]
     return PPoly.construct_fast(c, x)
+
+
+def spline_laplacian(s: PPoly) -> Callable[[NDArray], NDArray]:
+    """r ↦ Δ of the even radial profile s: s″ + 2s′/r, its limit 3s″(0) at
+    r ≤ 1e-12, and 0 beyond the spline's last knot r_max."""
+    d1, d2 = s.derivative(), s.derivative(2)
+    r_max, origin = s.x[-1], 3 * d2(0.0)
+
+    def lap(r: NDArray) -> NDArray:
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        clipped = np.minimum(r, r_max)
+        inner = d2(clipped) + 2 * d1(clipped) / np.maximum(r, 1e-12)
+        return np.where(r <= r_max, np.where(r > 1e-12, inner, origin), 0.0)
+
+    return lap
 
 
 def inverse_laplacian_radial(g: Callable[[NDArray], NDArray], grid: RadialGrid) -> RadialField:

@@ -189,10 +189,12 @@ def _closed_form(f) -> Optional[_Form]:
         return _Form(np.zeros_like, lambda t: 1.0 * t, lambda y: 1.0 * y, -np.inf, np.inf)
     if name == "const":
         gap = lambda t: np.full_like(t, 1.0 / abs(p))
+        # the identity to rounding where c·u is subnormal (the quotients lose digits)
+        tiny = np.finfo(float).tiny
         return _Form(
             lambda t: p * t,
-            lambda t: -np.expm1(-p * t) / p,
-            lambda y: -np.log1p(-p * y) / p,
+            lambda t: np.where(np.abs(p * t) < tiny, t, -np.expm1(-p * t) / p),
+            lambda y: np.where(np.abs(p * y) < tiny, y, -np.log1p(-p * y) / p),
             *((-np.inf, 1.0 / p, gap, None) if p > 0.0 else (1.0 / p, np.inf, None, gap)),
         )
     if name == "linear" and p > 0.0:

@@ -171,6 +171,19 @@ def test_iterate_ground_report(tmp_path):
     assert series.shape[1] == 2 and series[0, 0] == 0.0
 
 
+def test_solve_on_a_fully_masked_lattice(tmp_path):
+    # u0 above the cap at every node masks the whole lattice: no live sup
+    path = write_yaml(tmp_path, {
+        "schema": 1, "name": "masked", "action": "solve",
+        "equation": {"kind": "focusing"}, "grid": {"r_max": 8.0, "n": 81},
+        "data": {"u0": {"family": "constant", "amplitude": 2e6}}, "horizon": 1.0,
+        "expect": [{"path": "results.diverged_fraction", "equals": 1.0}],
+    })
+    assert main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "masked-solve.json").read_text())["results"]
+    assert res["sup_final"] is None and res["diverged_fraction"] == 1.0
+
+
 def test_oracle_reports_energy_drift(tmp_path):
     code = main(["oracle", "--config", "oracle-free-gaussian", "--out-dir", str(tmp_path)])
     assert code == 0
@@ -283,6 +296,21 @@ def test_exit_two_on_broken_tabulated_data(tmp_path, capsys, broken):
     err = capsys.readouterr().err
     assert "tabulated u0" in err and fault in err
     assert spec.get("path", "tabulated u0") in err
+
+
+_NULL_VALUES = {  # a scenario with one value null, the action that reads it
+    "equation.param": ({"equation": {"kind": "null-form", "param": None}}, "classify"),
+    "horizon": ({"horizon": None}, "solve"),
+    "grid.n": ({"grid": {"n": None}}, "solve"),
+}
+
+
+@pytest.mark.parametrize("key", list(_NULL_VALUES))
+def test_exit_two_on_null_config_value(tmp_path, capsys, key):
+    doc, action = _NULL_VALUES[key]
+    path = write_yaml(tmp_path, dict(doc, schema=1, name="null", action=action))
+    assert main([action, "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert f"error: {key} must be a number, got None" in capsys.readouterr().err
 
 
 def test_tabulated_reads_what_field_to_csv_writes(tmp_path, capsys):

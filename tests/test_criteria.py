@@ -30,7 +30,6 @@ from wavecrit.criteria import (
     Verdict,
     _check_pair_symmetry,
     _derivative_spline,
-    _laplacian_fn,
     _make,
     _moment_spline,
     _points,
@@ -49,7 +48,7 @@ from wavecrit.criteria import (
     radial_positivity,
     supercritical_envelope,
 )
-from wavecrit.radial import kato_norm, row_norm
+from wavecrit.radial import kato_norm, row_norm, spline_laplacian
 
 GRID = RadialGrid.uniform(8.0, 401)
 
@@ -809,7 +808,7 @@ def _reference_focusing_domination(u_data, v_data, case):
         if u_pole != 0.0 or v_pole != 0.0:
             bounds["origin_divergence"] = "velocity pole makes a gradient term unbounded"
             return _make("focusing_domination", -float("inf"), (0.0, -float("inf")), False, bounds)
-        lu, lv = _laplacian_fn(u_data.u0), _laplacian_fn(v_data.u0)
+        lu, lv = spline_laplacian(_spline(u_data.u0)), spline_laplacian(_spline(v_data.u0))
         du1, dv1 = _derivative_spline(u_data.u1), _derivative_spline(v_data.u1)
 
         def slack(r):
@@ -851,7 +850,7 @@ def _reference_supercritical_envelope(data, N, alpha=0.0):
     if data.symmetry == "radial":
         if data.u1.origin_moment != 0.0:
             raise ConfigError("supercritical_envelope requires a bounded velocity gradient")
-        lap = _laplacian_fn(data.u0)
+        lap = spline_laplacian(_spline(data.u0))
         d1 = _derivative_spline(data.u1)
 
         def load(r):

@@ -14,6 +14,8 @@ from wavecrit import (
     RadialField,
     RadialGrid,
     as_general,
+    build_profile,
+    builtin_nonlinearity,
     dalembert_split,
     evaluate_at_origin_nonradial,
     kato_norm,
@@ -22,6 +24,7 @@ from wavecrit import (
     outgoing_velocity,
     propagate_radial,
     reduce_to_line,
+    solve_null,
     time_translate_split,
     wave_energy,
 )
@@ -229,6 +232,24 @@ class TestPropagation:
         data = CauchyData.from_callables(grid(4.0, 101), bump_at(1.0), zero)
         with pytest.raises(ExtentError):
             propagate_radial(data, 5.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("check", ["propagate_radial", "time_translate_split", "solve_null"])
+    def test_extent_checks_agree(self, check, sign):
+        # every check of the trusted radius raises one message and payload
+        # from the time on where nothing is trusted, |t| = r_max
+        data = CauchyData.from_callables(grid(4.0, 101), bump_at(1.0), zero)
+        run = {
+            "propagate_radial": lambda t: propagate_radial(data, t),
+            "time_translate_split": lambda t: time_translate_split(dalembert_split(data), t),
+            "solve_null": lambda t: solve_null(
+                data, build_profile(builtin_nonlinearity("const", 1.0)), t),
+        }[check]
+        run(sign * np.nextafter(4.0, 0.0))  # one node is trusted
+        with pytest.raises(ExtentError) as info:
+            run(sign * 4.0)
+        assert str(info.value) == "insufficient grid extent: |t| = 4 reaches r_max = 4"
+        assert (info.value.time, info.value.r_max) == (sign * 4.0, 4.0)
 
     def test_truncation_flagged(self):
         data = CauchyData.from_callables(grid(4.0, 101), bump_at(1.0), zero)

@@ -29,7 +29,8 @@ from wavecrit.freewave import FreePropagator, dalembert_split
 from wavecrit.nullwave import (
     _ROUNDING,
     _cone_mins,
-    _cone_rows,
+    _layout_rows,
+    _row_layout,
     _first_touch,
     asymptotic_profile,
     conserved_energy_quadratic,
@@ -185,7 +186,8 @@ class TestDetectBlowup:
         report = detect_blowup(data, profile)
         assert (report.t0, report.x0_radius, report.window) == (0.0, 0.0, 0.0)
         assert all(math.isnan(x) for x in report.log_rate_fit)
-        assert null_solution(data, profile).first_zero == (0.0, 0.0)
+        touch = null_solution(data, profile).blowup
+        assert (touch.t0, touch.x0_radius) == (0.0, 0.0)
         prop = FreePropagator(push_forward(data, profile))
         v = prop.origin(np.array([math.copysign(1e-12, report.t0)]))[0]
         assert (v <= profile.a) if report.side == "lower" else (v >= profile.b)
@@ -243,6 +245,10 @@ def _reference_first_touch(slack, nodes, r0, scan=1024, tol=1e-10):
         else:
             lo = mid
     return hi, hi_loc
+
+
+def _cone_rows(nodes, r0, ts):
+    return _layout_rows(nodes, *_row_layout(nodes, r0, ts))
 
 
 def _whole_row_mins(slack, nodes, r0, ts):
@@ -825,15 +831,14 @@ class TestNullSolution:
     def test_global_validity(self, unit):
         sol = null_solution(passing_data(), unit)
         assert sol.validity == "global"
-        assert sol.first_zero is None
         assert sol.blowup is None
 
     def test_cone_limited_records_touch(self, unit):
         sol = null_solution(gaussian_well(1.5), unit)
         assert sol.validity == "cone-limited"
         report = detect_blowup(gaussian_well(1.5), unit, fit_rate=False)
-        assert sol.first_zero[0] == pytest.approx(report.t0, abs=1e-12)
-        assert sol.first_zero == (sol.blowup.t0, sol.blowup.x0_radius)
+        assert sol.blowup.t0 == pytest.approx(report.t0, abs=1e-12)
+        assert sol.blowup.x0_radius == report.x0_radius
         assert (sol.blowup.window, sol.blowup.side) == (report.window, report.side)
 
     def test_pushes_and_propagates_once(self, unit, monkeypatch):
@@ -867,7 +872,7 @@ class TestNullSolution:
 
     def test_v_range_before_touch(self, unit):
         sol = null_solution(gaussian_well(1.5), unit)
-        t0 = sol.first_zero[0]
+        t0 = sol.blowup.t0
         for t in (0.0, 0.5 * t0):
             v = sol.v(t).values
             assert np.max(v) < unit.b

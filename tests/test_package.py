@@ -4,6 +4,7 @@ import ast
 import importlib
 import pkgutil
 import types
+from collections import Counter
 from pathlib import Path
 
 import wavecrit
@@ -49,3 +50,30 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _names(root):
+    # every name that root reads, as a variable, an attribute or an import
+    for node in ast.walk(root):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names)
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a module-level helper that only the tests call belongs in the tests;
+    # a function's calls of itself do not count
+    trees = [ast.parse(path.read_text()) for path in Path(wavecrit.__file__).parent.glob("*.py")]
+    uses = Counter(name for tree in trees for name in _names(tree))
+    orphans = sorted(
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and uses[node.name] == Counter(_names(node))[node.name]
+    )
+    assert orphans == []

@@ -42,6 +42,7 @@ from wavecrit.radial import (
     cubic_spline,
     panel_cumulative,
     row_norm,
+    spline_laplacian,
 )
 
 PI32 = np.pi ** 1.5  # 4π ∫₀^∞ e^{-r²} r² dr
@@ -284,6 +285,64 @@ class TestCubicSpline:
         assert s.x[-1] == 1.0 and s.c[3, -1] == 7.0
 
 
+def _criteria_laplacian(sp):
+    # the Laplacian the criteria formed before spline_laplacian: s'' + 2s'/r
+    # on r > 0, 3s''(0) at r = 0
+    d1, d2 = sp.derivative(), sp.derivative(2)
+
+    def lap(r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        out = np.empty_like(r)
+        pos = r > 0
+        out[pos] = d2(r[pos]) + 2.0 * d1(r[pos]) / r[pos]
+        out[~pos] = 3.0 * d2(0.0)
+        return out
+
+    return lap
+
+
+def _lifted_laplacian(sp, r_max):
+    # the Laplacian freewave.as_general formed on points before
+    # spline_laplacian: the origin limit at |x| ≤ 1e-12, zero beyond r_max
+    d1, d2 = sp.derivative(), sp.derivative(2)
+    origin = 3 * d2(0.0)
+
+    def lap(pts):
+        rho = row_norm(pts)
+        clipped = np.minimum(rho, r_max)
+        inner = d2(clipped) + 2 * d1(clipped) / np.maximum(rho, 1e-12)
+        out = np.where(rho > 1e-12, inner, origin)
+        return np.where(rho <= r_max, out, 0.0)
+
+    return lap
+
+
+class TestSplineLaplacian:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graded=st.booleans(),
+        n=st.integers(4, 400),
+        r_max=st.floats(0.5, 50.0),
+        power=st.floats(1.5, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_both_former_forms(self, graded, n, r_max, power, seed):
+        # nodes and midpoints are 0 or above 1e-12 on these grids, where the
+        # two former forms agree
+        s = np.linspace(0.0, 1.0, n)
+        nodes = r_max * (s**power if graded else s)
+        rng = np.random.default_rng(seed)
+        sp = cubic_spline(nodes, rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0))
+        lap = spline_laplacian(sp)
+        radii = np.union1d(nodes, 0.5 * (nodes[1:] + nodes[:-1]))
+        assert lap(radii).tobytes() == _criteria_laplacian(sp)(radii).tobytes()
+        beyond = r_max * (1.0 + rng.random(8))
+        rho = np.concatenate([radii, [5e-13, 1e-12], beyond, [np.nextafter(r_max, np.inf)]])
+        u = rng.standard_normal((rho.size, 3))
+        pts = rho[:, None] * (u / np.linalg.norm(u, axis=1)[:, None])
+        assert lap(row_norm(pts)).tobytes() == _lifted_laplacian(sp, r_max)(pts).tobytes()
+
+
 def _reference_potential(masses, h):
     # O(n^6) direct sum: one pass over every sample per cell, the cell itself
     # weighted by the average of 1/|x| over the ball of one cell's volume
@@ -420,7 +479,7 @@ class TestKatoNorm:
         masses = values * h**3
         ref = _reference_potential(masses, h)
         bound = 2e-6 * ref.max()  # single-precision transform
-        potential = _cube_potential(masses, h, _cube_kernel_spectrum(n_side))
+        potential = _scaled_cube_potential(masses, h, _cube_kernel_spectrum(n_side))
         assert np.all(np.abs(potential - ref) <= bound)
         f = _cube_lookup(values, L)
         edges = np.linspace(0.0, L, 6)
@@ -491,20 +550,27 @@ class TestKatoNorm:
         assert abs(got - want) <= 2e-6 * want
 
 
-def _reference_cube_potential(masses, h, spectrum):
+def _scaled_cube_potential(masses, h, spectrum):
+    # the potential of masses at any scale on a cube of spacing h, in float64:
+    # _cube_potential on the masses in units of 2^e ≥ the largest, as
+    # _kato_cube scales them
+    e = int(np.frexp(masses.max())[1])
+    return np.ldexp(_cube_potential(np.ldexp(masses, -e), spectrum).astype(float) / h, e)
+
+
+def _reference_cube_potential(masses, spectrum):
     # each axis padded by a fresh copy as it is transformed: the oracle of
-    # the in-place transforms in a reused workspace, with the same scaling
-    # by 2^e ≥ the largest mass and the same single-precision arithmetic
+    # the in-place transforms in a reused workspace, for masses in [0, 1),
+    # in the same single-precision arithmetic
     n = masses.shape[0]
     size = 2 * n - 2
-    e = int(np.frexp(masses.max())[1])
-    t = rfft(np.ldexp(masses, -e).astype(np.float32), n=size, axis=2)
+    t = rfft(masses.astype(np.float32), n=size, axis=2)
     t = fft(t, n=size, axis=1)
     t = fft(t, n=size, axis=0)
     t *= spectrum
     t = ifft(t, axis=0, overwrite_x=True)[:n]
     t = ifft(t, axis=1)[:, :n]
-    return np.ldexp(irfft(t, n=size, axis=2)[:, :, :n].astype(float) / h, e)
+    return irfft(t, n=size, axis=2)[:, :, :n]
 
 
 def _float64_cube_potential(masses, h):
@@ -560,8 +626,11 @@ def _reference_kato_cube(f, n_side, float64=False):
         )
     tail_fraction = float(shells[-1] / total) if total > 0 else 0.0
     cube = vals.reshape((n_side,) * 3)
-    potential = (_float64_cube_potential(cube, h) if float64
-                 else _reference_cube_potential(cube, h, spectrum))
+    if float64:
+        potential = _float64_cube_potential(cube, h)
+    else:  # every cell in float64, the sup taken there
+        potential = np.ldexp(
+            _reference_cube_potential(np.ldexp(cube, -e), spectrum).astype(float) / h, e)
     cell = np.unravel_index(int(np.argmax(potential)), potential.shape)
     return (float(potential[cell]), xs[list(cell)], tail_fraction <= 0.05, tail_fraction)
 
@@ -590,21 +659,21 @@ class TestCubeWorkspace:
     @settings(max_examples=40, deadline=None)
     @given(
         n_side=st.integers(3, 41),
-        L=st.floats(0.5, 10.0),
         keep=st.floats(0.0, 1.0),
-        exponent=st.floats(-300.0, 300.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_potential_equals_pad_by_copy(self, n_side, L, keep, exponent, seed):
+    def test_potential_equals_pad_by_copy(self, n_side, keep, seed):
+        # masses in [0, 1), the units _kato_cube passes; its scales from
+        # 10^-300 to 10^300 are covered by test_kato_norm_matches_float64_transform
         rng = np.random.default_rng(seed)
         shape = (n_side,) * 3
-        h = 2.0 * L / (n_side - 1)
         spectrum = _cube_kernel_spectrum(n_side)
-        _cube_potential(rng.random(shape), h, spectrum)  # leaves the workspace dirty
-        masses = rng.random(shape) * (rng.random(shape) < keep) * 10.0**exponent
-        with np.errstate(over="raise", invalid="raise"):  # scaled: no scale overflows
-            want = _reference_cube_potential(masses, h, spectrum)
-            got = _cube_potential(masses, h, spectrum)
+        _cube_potential(rng.random(shape), spectrum)  # leaves the workspace dirty
+        masses = rng.random(shape) * (rng.random(shape) < keep)
+        with np.errstate(over="raise", invalid="raise"):
+            want = _reference_cube_potential(masses, spectrum)
+            got = _cube_potential(masses, spectrum)
+        assert got.dtype == np.float32
         np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=30, deadline=None)

@@ -184,6 +184,16 @@ def test_closed_form_matches_the_table_of_the_same_f(weight, fractions):
     assert np.all(np.abs(exact.F(x) - table.F(x)) <= 1e-8 * scale)
 
 
+@pytest.mark.parametrize("c", [5e-324, -5e-324, 1e-310, -2.2e-308])
+def test_const_with_subnormal_products_is_the_identity(c):
+    # where c·u is subnormal, F(u) = u(1 - cu/2 + ...) rounds to u; the
+    # quotient -expm1(-cu)/c gave F(37.5) = 38 at c = 5e-324
+    p = build_profile(builtin_nonlinearity("const", c))
+    u = np.array([-50.0, -37.5, -1e-300, 0.0, 1e-300, 0.1, 37.5, 50.0])
+    assert np.array_equal(p.F(u), u)
+    assert np.array_equal(p.F_inverse(u), u)
+
+
 @pytest.mark.parametrize("weight", EXACT_WEIGHTS)
 def test_closed_form_inverse_residual_up_to_the_endpoints(weight):
     p = build_profile(builtin_nonlinearity(*weight))
