@@ -166,23 +166,23 @@ def build_grid(spec: dict) -> RadialGrid:
 def build_field(grid: RadialGrid, spec: dict, slot: str) -> RadialField:
     family = spec.get("family", "zero")
     r = grid.nodes
+
+    def number(key: str, default: float) -> float:
+        return _number(spec.get(key, default), f"data.{slot}.{key}")
     if family == "zero":
         return RadialField(grid, np.zeros(grid.n))
     if family == "constant":
-        return RadialField(grid, float(spec.get("amplitude", 1.0)) * np.ones(grid.n))
+        return RadialField(grid, number("amplitude", 1.0) * np.ones(grid.n))
     if family == "gaussian":
-        a = float(spec.get("amplitude", 1.0))
-        c = float(spec.get("center", 0.0))
-        w = float(spec.get("width", 1.0))
+        a, c, w = number("amplitude", 1.0), number("center", 0.0), number("width", 1.0)
         return RadialField(grid, a * np.exp(-(((r - c) / w) ** 2)))
     if family == "soliton":
-        scale = float(spec.get("scale", 1.0))
-        return RadialField(grid, scale * soliton("ground", 4)(r))
+        return RadialField(grid, number("scale", 1.0) * soliton("ground", 4)(r))
     if family == "soliton-velocity":
         if slot != "u1":
             raise ConfigError("soliton-velocity has a 1/r pole: velocity slot only")
-        scale = float(spec.get("scale", 1.0))
-        return RadialField.from_moment(grid, scale * soliton("ground", 4).outgoing_moment(r))
+        moment = number("scale", 1.0) * soliton("ground", 4).outgoing_moment(r)
+        return RadialField.from_moment(grid, moment)
     if family == "tabulated":
         if "path" not in spec:
             raise ConfigError(f"tabulated {slot} needs a path")
@@ -259,11 +259,11 @@ def _iterate(scenario: dict, data: CauchyData, series: dict):
     solver = scenario["solver"]
     state = monotone_iterate(
         data,
-        float(scenario["equation"]["N"]),
+        _number(scenario["equation"]["N"], "equation.N"),
         scenario["horizon"],
-        cap=float(solver["cap"]),
-        tol=float(solver["tol"]),
-        n_max=int(solver["n_max"]),
+        cap=_number(solver["cap"], "solver.cap"),
+        tol=_number(solver["tol"], "solver.tol"),
+        n_max=_number(solver["n_max"], "solver.n_max", int),
     )
     sups = state.sup_profile()
     series["series"] = np.column_stack([state.times, np.nan_to_num(sups, nan=np.inf)])
@@ -325,7 +325,7 @@ def _act_oracle(scenario: dict, series: dict) -> dict:
     if eq["kind"] == "null-form":
         rhs = ("null", _weight(*_weight_spec(eq)))
     elif eq["kind"] == "focusing":
-        rhs = ("power", float(eq["N"]), int(eq["sign"]))
+        rhs = ("power", _number(eq["N"], "equation.N"), _number(eq["sign"], "equation.sign", int))
     else:
         rhs = None
     solver = scenario["solver"]
@@ -336,9 +336,9 @@ def _act_oracle(scenario: dict, series: dict) -> dict:
         build_data(scenario),
         rhs,
         scenario["horizon"],
-        h=float(h),
-        cfl=float(solver["cfl"]),
-        threshold=float(solver["threshold"]),
+        h=_number(h, "solver.h"),
+        cfl=_number(solver["cfl"], "solver.cfl"),
+        threshold=_number(solver["threshold"], "solver.threshold"),
         snapshot_times=scenario["probe"]["times"],
     )
     sups = [float(np.max(np.abs(s))) for s in run.snapshots]
@@ -464,7 +464,7 @@ def run_scenario(
     if act not in _ACTION_TABLE:
         raise ConfigError(f"unknown action {act!r}")
     scenario = json.loads(json.dumps(scenario))  # defensive copy
-    scenario["solver"]["tol"] = float(scenario["solver"]["tol"]) * tolerance_scale
+    scenario["solver"]["tol"] = _number(scenario["solver"]["tol"], "solver.tol") * tolerance_scale
     series: dict = {}
     results = _ACTION_TABLE[act](scenario, series)
     report = {

@@ -37,7 +37,7 @@ from .errors import (
     GridError,
     SolitonError,
 )
-from .freewave import CauchyData, FreePropagator
+from .freewave import CauchyData, FreePropagator, _strided, _uniform_spacing
 from .radial import RadialField, RadialGrid, differentiate, line_integral, spline_laplacian
 
 __all__ = [
@@ -127,14 +127,6 @@ def crossing_radii() -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 # lattice Duhamel map
 
-def _uniform_spacing(grid: RadialGrid) -> float:
-    gaps = np.diff(grid.nodes)
-    h = float(gaps[0])
-    if np.max(np.abs(gaps - h)) > 1e-9 * h:
-        raise GridError("the spacetime lattice needs a uniform radial grid")
-    return h
-
-
 def _lattice_times(grid: RadialGrid, horizon: float) -> NDArray:
     if horizon <= 0:
         raise ConfigError("horizon must be positive", horizon=horizon)
@@ -149,20 +141,21 @@ def _lattice_times(grid: RadialGrid, horizon: float) -> NDArray:
     return h * np.arange(n_t)
 
 
-def _free_lattice(data: CauchyData, times: NDArray) -> NDArray:
-    return FreePropagator(data).at(data.grid.nodes[:, None], times[None, :])
-
-
 def _power_source(values: NDArray, exponent: float, cap: float) -> NDArray:
-    u = np.clip(values, -cap, cap)
-    return np.sign(u) * np.abs(u) ** (exponent + 1.0)
-
-
-def _strided(a: NDArray, start: int, shape: Tuple[int, ...], steps: Tuple[int, ...]) -> NDArray:
-    # view of a's buffer from element start, steps counted in elements;
-    # numpy refuses any view that reaches outside the buffer
-    offset = start * a.itemsize if min(shape) > 0 else 0
-    return np.ndarray(shape, a.dtype, a, offset, [k * a.itemsize for k in steps])
+    # u|u|^N, zero where |u| > cap (such a node reaches only its own, masked,
+    # forward cone); integer N by squaring u, so |u| enters only for odd N
+    u = np.where(np.abs(values) > cap, 0.0, values)
+    if not float(exponent).is_integer():
+        return np.sign(u) * np.abs(u) ** (exponent + 1.0)
+    out = u * np.abs(u) if exponent % 2 else u
+    square, k = u * u, int(exponent) // 2
+    while k:
+        if k & 1:
+            out = out * square
+        k >>= 1
+        if k:
+            square = square * square
+    return out
 
 
 # Positive quadrature weights for j uniform intervals: trapezoid (j=1),
@@ -176,8 +169,10 @@ def _lattice_map(nodes: NDArray, n_t: int) -> Callable[[NDArray, NDArray, float,
 
     With the time step equal to the node spacing, both kernel limits land
     exactly on nodes: out[i, j] = free[i, j] + dt/(2 r_i) Σ_{m<j} w_j[m]
-    (M̃[i+j-m, m] - M̃[i-j+m, m]), M̃ the cumulative moment of slice m,
-    reflected at the origin and frozen at the top node in one padded buffer.
+    (M̃[i+j-m, m] - M̃[i-j+m, m]), M̃[x, m] = −Σ_{y≥x} (g[y] + g[y+1]) dt/2 the
+    moment of slice m above node x, g = r|u|^N u, reflected at the origin and
+    zero from the top node on, in one padded buffer.  Summed from the top
+    inward, no difference cancels the big sources near the origin.
     The terms stay on the anti-diagonal k = i + j and the diagonal d = i - j,
     and the origin row sums g = r f along anti-diagonals: strided views,
     summed time-major.  Read from the left, the Simpson weights are s_m =
@@ -217,11 +212,10 @@ def _lattice_map(nodes: NDArray, n_t: int) -> Callable[[NDArray, NDArray, float,
     origin, A, B = reads
 
     def apply(free: NDArray, source: NDArray, exponent: float, cap: float) -> NDArray:
-        g, M = G[off:], P[one:off + n_r]
+        g, M = G[off:], P[off:off + n_r - 1][::-1]  # M̃[x] in M[n_r - 2 - x]
         np.multiply(nodes[:, None], _power_source(source, exponent, cap), out=g)
-        np.cumsum(0.5 * (g[1:] + g[:-1]) * dt, axis=0, out=M)
+        np.cumsum(((g[1:] + g[:-1]) * (-0.5 * dt))[::-1], axis=0, out=M)
         P[:off] = P[2 * off:off:-1]
-        P[off + n_r:] = P[off + n_r - 1]
         for E, sums in families:
             np.multiply(E, s, out=sums)
         for prev, row in rows:
@@ -257,9 +251,11 @@ def _infected_mask(mask: NDArray) -> NDArray:
 def duhamel_apply(data: CauchyData, source: NDArray, exponent: float) -> NDArray:
     """One application of the lattice Duhamel map to a source lattice.
 
-    The source columns are read at times j·spacing; the result has the same
-    shape.  Substituting a static solution for the source must return that
-    solution up to quadrature error, which is the fixed-point diagnostic.
+    The source columns are read at times j·spacing, j < n_t ≤ n, on a uniform
+    grid, where FreePropagator.lattice gives the free wave; the result has the
+    same shape, and ±inf sources fill their forward cones.  Substituting a
+    static solution for the source must return that solution up to
+    quadrature error, which is the fixed-point diagnostic.
     """
     if data.symmetry != "radial":
         raise ConfigError("the lattice map is radial only")
@@ -269,11 +265,7 @@ def duhamel_apply(data: CauchyData, source: NDArray, exponent: float) -> NDArray
         raise ConfigError(
             "source lattice must be nodes x times", shape=source.shape
         )
-    _uniform_spacing(data.grid)
-    if source.shape[1] > nodes.size:
-        raise ExtentError("more time columns than nodes", shape=source.shape)
-    times = data.grid.spacing * np.arange(source.shape[1])
-    free = _free_lattice(data, times)
+    free = FreePropagator(data).lattice(source.shape[1])
     return _lattice_map(nodes, source.shape[1])(free, source, exponent, np.inf)
 
 
@@ -310,6 +302,8 @@ class IterationState:
 
     @property
     def diverged_fraction(self) -> float:
+        """Share of the trusted nodes masked; set by the lattice values, not by
+        rounding, as no source near cap^(N+1) cancels in a live node's value."""
         trusted_count = max(int(np.sum(self.trusted)), 1)
         return float(np.sum(self.divergence_mask & self.trusted) / trusted_count)
 
@@ -368,7 +362,7 @@ def monotone_iterate(
     times = _lattice_times(data.grid, horizon)
     trusted = nodes[:, None] + times[None, :] <= data.grid.r_max + 1e-9
 
-    free = _free_lattice(data, times)
+    free = FreePropagator(data).lattice(times.size)
     u = free.copy()
     mask = _infected_mask(np.abs(u) > cap)
     u[mask] = np.inf
@@ -377,19 +371,24 @@ def monotone_iterate(
 
     apply = _lattice_map(nodes, times.size)
     n_trusted = max(int(np.sum(trusted)), 1)
+    live = trusted > mask  # trusted and not masked
+    fraction = float(np.sum(mask & trusted) / n_trusted)
+    change = np.zeros_like(u)  # zero off the live nodes
     converged = False
     n = 0
     for n in range(1, n_max + 1):
         new_u = apply(free, u, N, cap)
         over = np.abs(new_u) > cap
         # the mask is cone-closed, so only a node newly over the cap can grow it
-        new_mask = _infected_mask(mask | over) if np.any(over & ~mask) else mask
-        new_u[new_mask] = np.inf
-        live = trusted & ~new_mask  # the new mask holds the old one
-        change = np.subtract(new_u, u, out=np.zeros_like(u), where=live)
-        sup_change = float(np.max(np.abs(change)))
-        u, mask = new_u, new_mask
-        fraction = float(np.sum(mask & trusted) / n_trusted)
+        if np.any(over > mask):
+            mask = _infected_mask(mask | over)
+            live = trusted > mask
+            change[mask] = 0.0
+            fraction = float(np.sum(mask & trusted) / n_trusted)
+        new_u[mask] = np.inf
+        np.subtract(new_u, u, out=change, where=live)
+        sup_change = float(np.max(np.abs(change, out=change)))
+        u = new_u
         trace.append({"n": n, "sup_change": sup_change, "diverged_fraction": fraction})
         if history is not None:
             history.append(u.copy())

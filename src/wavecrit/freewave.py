@@ -36,7 +36,7 @@ from numpy.typing import NDArray
 from scipy.integrate import simpson
 from scipy.interpolate import PPoly
 
-from .errors import ExtentError
+from .errors import ExtentError, GridError
 from .radial import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -214,6 +214,21 @@ def _half_lines(nodes: NDArray, values: NDArray):
     return np.hstack([left, a[::-1, ::-1]]), np.hstack([P.c, right])
 
 
+def _uniform_spacing(grid: RadialGrid) -> float:
+    gaps = np.diff(grid.nodes)
+    h = float(gaps[0])
+    if np.max(np.abs(gaps - h)) > 1e-9 * h:
+        raise GridError("the spacetime lattice needs a uniform radial grid")
+    return h
+
+
+def _strided(a: NDArray, start: int, shape: tuple, steps: tuple) -> NDArray:
+    # view of a's buffer from element start, steps counted in elements;
+    # numpy refuses any view that reaches outside the buffer
+    offset = start * a.itemsize if min(shape) > 0 else 0
+    return np.ndarray(shape, a.dtype, a, offset, [k * a.itemsize for k in steps])
+
+
 class FreePropagator:
     """Evaluates the free radial wave at arbitrary (r, t) by exact shifts.
 
@@ -310,6 +325,22 @@ class FreePropagator:
         rim = np.where(ts > 0, -2.0 * behind, 2.0 * ahead)
         out = np.where(np.abs(ts) == self._rho, rim, -behind + ahead)
         return out if out.ndim else float(out)
+
+    def lattice(self, n_t: int) -> NDArray:
+        """u at every node and the times j·h, j < n_t ≤ n, of a uniform grid:
+        each foot r ± t is a breakpoint k·h, where Ψ (Ψ' for the origin row) is
+        the constant (linear) coefficient of the piece on its right, or lies on
+        the straight end piece; out-feet form a Toeplitz view, in-feet a Hankel one."""
+        h = _uniform_spacing(self.grid)
+        r, n = self.grid.nodes, self.grid.n
+        if n_t > n:
+            raise ExtentError("more time columns than nodes", shape=(n, n_t))
+        out, inn = self._psi_out.c, self._psi_in.c  # Ψ(k·h), |k| < n: piece n + k; then the end line
+        feet_in = np.append(inn[-1, n:-1], inn[-1, -1] + inn[-2, -1] * (h * np.arange(n_t)))
+        w = _strided(out[-1], n, (n, n_t), (1, -1)) + _strided(feet_in, 0, (n, n_t), (1, 1))
+        w[1:] /= r[1:, None]
+        w[0] = out[-2, n::-1][:n_t] + inn[-2, n:n + n_t]
+        return w
 
     def trusted_radius(self, t: float) -> float:
         return self._rho - abs(t)

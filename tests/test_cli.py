@@ -218,9 +218,9 @@ def test_verify_all(tmp_path, capsys):
 VERIFY_ALL_SHA256 = {
     "blowup-gaussian-f1-blowup.json": "8e02bf9857d9934d557fadd430b1817ded7139af615ec1ca24c74151dfe2f422",
     "constant-null-classify.json": "fd960562e7c5f940fd232bdbf755a979977395bead72ec7bbad64b5941b580fd",
-    "iterate-ground-iterate.csv": "16d7246917bd2f2c1cd7d683cf7046a5c317f6975dda130127d16b409d2a2dbb",
+    "iterate-ground-iterate.csv": "9df302cbddfe5f060b0374c37227f87a6362aea0c12d1fce3241a42af4e66c10",
     "iterate-ground-iterate.gp": "452739cc040c70390bfd840309671365baff5dbe3b6c43ffeb165dc00412a9b6",
-    "iterate-ground-iterate.json": "044dbb0c59e73184d319b223b97a40034a9c93412bad3e73adc21313c35cdeac",
+    "iterate-ground-iterate.json": "a5d418bf72d5cce4cc6bfb029c3a6abd940536b6cc2c1c844f2a24a339a0570c",
     "oracle-free-gaussian-oracle.csv": "96f2d2ff1abe0ec9ab4c39853c1d1dd8cdfe07e8e0b2e01c0094e8fdbcb6619a",
     "oracle-free-gaussian-oracle.gp": "7a6478e2bfc7af11218055efc5958110734d44dc0a6d3a57641026d839d31db9",
     "oracle-free-gaussian-oracle.json": "e22291fb7c68e7469434c954eddada499553524a4b697e768b4f1514c4b01f3a",
@@ -302,6 +302,13 @@ _NULL_VALUES = {  # a scenario with one value null, the action that reads it
     "equation.param": ({"equation": {"kind": "null-form", "param": None}}, "classify"),
     "horizon": ({"horizon": None}, "solve"),
     "grid.n": ({"grid": {"n": None}}, "solve"),
+    "equation.N": ({"equation": {"kind": "focusing", "N": None}}, "iterate"),
+    "solver.cap": ({"equation": {"kind": "focusing"}, "solver": {"cap": None}}, "iterate"),
+    "solver.tol": ({"solver": {"tol": None}}, "solve"),
+    "data.u0.amplitude": ({"data": {"u0": {"family": "gaussian", "amplitude": None}}}, "solve"),
+    "data.u1.scale": ({"data": {"u1": {"family": "soliton-velocity", "scale": None}}}, "solve"),
+    "solver.n_max": ({"equation": {"kind": "focusing"}, "solver": {"n_max": None}}, "iterate"),
+    "solver.threshold": ({"solver": {"threshold": None}}, "oracle"),
 }
 
 

@@ -11,6 +11,7 @@ from wavecrit import (
     ExtentError,
     Field3D,
     FreePropagator,
+    GridError,
     RadialField,
     RadialGrid,
     as_general,
@@ -549,6 +550,51 @@ class TestPositiveRadii:
             got, want = prop.at(r, at_t), _at_with_origin_limit(prop, r, at_t)
             assert type(got) is type(want)
             assert np.array_equal(got, want)
+
+
+_AMPLITUDE = st.one_of(st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+
+
+class TestLattice:
+    """FreePropagator.lattice: the free wave at the nodes and the times j·h,
+    read from the pieces at the characteristic feet."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 401),
+        r_max=st.floats(0.5, 12.0),
+        fill=st.floats(0.0, 1.0),
+        kind=st.sampled_from(["regular", "expanding", "collapsing"]),
+        a=_AMPLITUDE,
+        b=_AMPLITUDE,
+        c=st.floats(0.0, 4.0),
+        width=st.floats(0.3, 2.0),
+    )
+    def test_matches_at_on_the_lattice(self, n, r_max, fill, kind, a, b, c, width):
+        # horizons from 0 to r_max; expanding and collapsing data carry a 1/r
+        # velocity pole when u0(0) != 0.  at() evaluates the piece its search
+        # finds for r ± t, which rounding may put on either side of the
+        # breakpoint; the difference, a few roundings of Ψ = O(ρ max|u|), is
+        # magnified by 1/r_1 = (n - 1)/ρ, so the bound is 8 n ε max|u|
+        data = _random_data(n, r_max, kind, a, b, c, width)
+        n_t = 1 + round(fill * (n - 1))
+        prop = FreePropagator(data)
+        times = data.grid.nodes[1] * np.arange(n_t)
+        want = prop.at(data.grid.nodes[:, None], times[None, :])
+        got = prop.lattice(n_t)
+        assert got.shape == want.shape == (n, n_t)
+        assert np.array_equal(got[:, 0], want[:, 0])  # feet on the nodes, s = 0
+        bound = 8 * n * np.finfo(float).eps * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound
+
+    def test_needs_a_uniform_grid_and_no_more_times_than_nodes(self):
+        graded = FreePropagator(_random_data(161, 8.0, "regular", 1.0, 0.5, 1.0, 1.0, graded=True))
+        with pytest.raises(GridError, match="uniform radial grid"):
+            graded.lattice(10)
+        prop = FreePropagator(_random_data(41, 2.0, "expanding", 1.0, 0.5, 1.0, 1.0))
+        assert prop.lattice(41).shape == (41, 41)
+        with pytest.raises(ExtentError, match="more time columns than nodes"):
+            prop.lattice(42)
 
 
 def ball_one() -> Field3D:
